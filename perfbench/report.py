@@ -10,7 +10,7 @@
 
 ``spread`` runs every workload once per seed, as BENCHMARK.json's
 command with its run_seconds, cycling through the workloads so that each
-workload's runs are spread over the whole session; per end-to-end metric
+workload's runs are spread over the whole measurement; per end-to-end metric
 it reports the ten values, their median and the interquartile distance
 as a share of the median (``statistics.quantiles(values, n=4)``).
 

@@ -147,7 +147,7 @@ PER_LAYER_UNITS = (
     {name: "s" for name in OP_TIMES + SETUP_TIMES} | COUNTERS
 )
 
-#: (numerator spans, denominator, share predicted from scratch measurements)
+#: (numerator spans, denominator, the share predicted before this benchmark existed)
 PREDICTED_SHARES = {
     "full": (("io.samples_to_text", "io.samples_from_text"), "trial", 0.70),
     "erased": (("estimation.nu_hat_erased",), "learn", 0.99),
