@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Repeat benchmark runs and summarise them.
 
-    python3 perfbench/report.py spread [--seeds 0-9] [--workloads full,...]
+    python3 perfbench/report.py spread [--seeds 0-9 | 0*10] [--workloads full,...]
         [--out perfbench/out/spread.json]
     python3 perfbench/report.py trace [--seed 0] [--workloads full,...]
         [--out perfbench/out/trace_report.json]
     python3 perfbench/report.py steadiness SET1.json SET2.json
         [--out perfbench/out/steadiness.json]
 
-``spread`` runs every workload once per seed, as BENCHMARK.json's
-command with its run_seconds, cycling through the workloads so that each
+``spread`` runs every workload once per seed (``0*10``: seed 0 ten
+times), as BENCHMARK.json's command with its run_seconds, cycling through
+the workloads, in reverse order every other round, so that each
 workload's runs are spread over the whole measurement; per end-to-end metric
 it reports the ten values, their median and the interquartile distance
 as a share of the median (``statistics.quantiles(values, n=4)``).
@@ -71,8 +72,8 @@ def spread_of(values: list[float]) -> dict:
 
 def cmd_spread(args) -> dict:
     runs = {w: [] for w in args.workloads}
-    for seed in args.seeds:
-        for workload in args.workloads:
+    for i, seed in enumerate(args.seeds):
+        for workload in args.workloads[::1 if i % 2 == 0 else -1]:
             runs[workload].append(one_run(workload, seed, False))
     bounds = {m["name"]: m["bound"] for m in CONFIG["end_to_end"]}
     out = {}
@@ -164,8 +165,7 @@ def cmd_steadiness(args) -> dict:
                 "medians": [first["median"], second["median"]],
                 "iqr_share": spreads,
                 "worsening_of_second_median": shift,
-                "within_bound": shift <= bound and (
-                    name == "setup_s" or max(spreads) <= bound),
+                "within_bound": shift <= bound and max(spreads) <= bound,
                 "below_third_of_bound": max(spreads) < bound / 3,
             }
         out["workloads"][workload] = {
@@ -179,6 +179,9 @@ def cmd_steadiness(args) -> dict:
 
 
 def _seeds(text: str) -> list[int]:
+    if "*" in text:
+        seed, times = text.split("*")
+        return [int(seed)] * int(times)
     if "-" in text:
         lo, hi = text.split("-")
         return list(range(int(lo), int(hi) + 1))
