@@ -142,7 +142,8 @@ def _machine() -> dict:
         "python": platform.python_version(),
         "notes": "shared cores; no CPU pinning or frequency control; the box "
                  "alternates between fast and slow phases about 1.4x apart, "
-                 "lasting from seconds to about a minute",
+                 "lasting from seconds to several minutes, so per-run medians "
+                 "drift together and longer runs do not steady them",
     }
 
 

@@ -8,16 +8,16 @@ Run from the root of a source checkout: the package is imported from
 ``src/`` next to this directory, never from site-packages.
 
 One closed-loop client in one single-threaded process runs one op at a
-time for ``--seconds`` seconds of op time (default: BENCHMARK.json's
-run_seconds), and for at least one op; a traced run for at least one op
-per trial, and a workload in TAIL_WORKLOADS for at least TAIL_MIN_OPS
-ops.  Op ``i`` uses trial ``i mod TRIALS[workload]``; every trial draws
-its model and sample seeds from ``--seed``, so the program only ever
-sees generated inputs.  Models, their exact joint tables and learner
-configs are built in set-up, before the loop.  Set-up is repeated
-``SETUP_REPEATS`` times, the repeats spread evenly over the loop (their
-time is not op time) so that their median samples the whole run, and
-reported as that median.
+time for ``--seconds`` seconds of op and checking time (default:
+BENCHMARK.json's run_seconds), and for at least one op; a traced run
+for at least one op per trial, and a workload in TAIL_WORKLOADS for at
+least TAIL_MIN_OPS ops.  Op ``i`` uses trial ``i mod TRIALS[workload]``;
+every trial draws its model and sample seeds from ``--seed``, so the
+program only ever sees generated inputs.  Models, their exact joint
+tables and learner configs are built in set-up, before the loop.  Set-up
+is repeated ``SETUP_REPEATS`` times, the repeats spread evenly over the
+loop (their time is not op time) so that their median samples the whole
+run, and reported as that median.
 
 Workloads (see BENCHMARK.json for why each exists):
   full     sample_exact -> samples_to_text -> samples_from_text ->
@@ -27,11 +27,23 @@ Workloads (see BENCHMARK.json for why each exists):
   verify   verify_payoff_bounds + verify_mi_chain +
            verify_conditioned_floor + learn_graph_exact -> score_edges
 
-Every op is checked: the learned edges must equal the clique graph and
-every verification record must be ok.  At DEFAULT_SEED each op must also
+Every op is checked, on any seed, against what the learner's algorithm
+makes of its input: each add clears tau and each prune falls below it,
+the neighbourhoods, edges (mutual inclusion) and evaluation counts
+follow from the trace, every trace value is recomputed from the
+learner's input by an independent nu written out in this file, and the
+growth and prune decisions are re-made with it (queried mode, whose
+batches are not kept, checks the query accounting instead).  Every
+verification record must be ok, and on ``full`` the text round trip
+must give back the sampled matrix.  Checking time is not op time, and
+trials_per_s leaves it out.  At DEFAULT_SEED each op must also
 reproduce the recorded reference (perfbench/reference/): edges, per-node
 trace (step kinds and nodes exactly, nu-hat within 1e-9) and accounting.
 An op that raises or fails a check counts in ``failed``.
+Recovering the true clique graph is not a check: at the tuned tau the
+learner misses an edge weaker than tau on a few models in a thousand,
+even with the exact estimator, so recovery is reported as
+``exact_match_rate``.
 
 With ``--trace 0`` the last stdout line carries the end-to-end metrics;
 with ``--trace 1`` wrappers are installed around the program's
@@ -50,6 +62,8 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +106,10 @@ TAIL_MIN_OPS = 100
 #: the one run length: BENCHMARK.json's run_seconds is --seconds' default
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 NU_TOL = 1e-9
+#: nodes per op whose decisions the check re-makes, rotating with the op
+#: index (default: every node); an erased-mode replay costs about as much
+#: as the learn call itself, so erased runs replay two nodes per op
+REPLAYED_NODES = {"erased": 2}
 ACCOUNTING_KEYS = {
     "full": ("evaluations",),
     "erased": ("evaluations",),
@@ -217,6 +235,7 @@ def setup(seed: int, trials: int) -> Setup:
             model, SPEC["alpha"], SPEC["beta"], override_tau=TAU, override_L=BUDGET,
             coverage_floor=COVERAGE_FLOOR,  # read by erased mode only
         )
+        assert not config.prune_sets  # consistency() counts one prune call per node
         truth = set(ml.clique_graph(model).edges)
         cases.append(Case(index, model, joint, truth, config, sample_seed, erase_seed))
     return Setup(ml, mlio, cases, clock() - start, generate_s, joint_s)
@@ -289,6 +308,10 @@ class Outcome:
     score: object
     learn_s: float
     records: dict | None = None
+    #: the learner's input, for reference_nu; None on queried, whose batches are not kept
+    source: tuple | None = None
+    #: (written, read back) sample sets of the text round trip on full
+    round_trip: tuple | None = None
 
 
 def op_full(call, case: Case) -> Outcome:
@@ -299,7 +322,9 @@ def op_full(call, case: Case) -> Outcome:
     result = call["learner.learn_graph_full"](loaded, case.config)
     learn_s = clock() - t0
     call["learner.to_json"](result)
-    return Outcome(result, call["experiment.score_edges"](case.truth, result.edges), learn_s)
+    return Outcome(result, call["experiment.score_edges"](case.truth, result.edges), learn_s,
+                   source=("complete", loaded.data, loaded.arities),
+                   round_trip=(samples, loaded))
 
 
 def op_erased(call, case: Case) -> Outcome:
@@ -308,7 +333,8 @@ def op_erased(call, case: Case) -> Outcome:
     t0 = clock()
     result = call["learner.learn_graph_erased"](erased, case.config)
     learn_s = clock() - t0
-    return Outcome(result, call["experiment.score_edges"](case.truth, result.edges), learn_s)
+    return Outcome(result, call["experiment.score_edges"](case.truth, result.edges), learn_s,
+                   source=("erased", erased.data, erased.arities))
 
 
 def op_queried(call, case: Case) -> Outcome:
@@ -333,13 +359,176 @@ def op_verify(call, case: Case) -> Outcome:
     result = call["learner.learn_graph_exact"](joint, case.config)
     learn_s = clock() - t0
     score = call["experiment.score_edges"](case.truth, result.edges)
-    return Outcome(result, score, learn_s, records)
+    return Outcome(result, score, learn_s, records, source=("joint", joint.probs))
 
 
 OPS = {"full": op_full, "erased": op_erased, "queried": op_queried, "verify": op_verify}
 
 
 # --- correctness --------------------------------------------------------------
+
+
+def nu_of_table(p: np.ndarray, n_group: int) -> float:
+    """nu(u, I | S) of a probability table with axes (u, I..., S...),
+    written out from its definition and independent of the program: the
+    sum over s of p(s) times the mean over (x_u, x_I) of
+    |p(x_u, x_I | s) - p(x_u | s) p(x_I | s)|."""
+    group_axes = tuple(range(1, 1 + n_group))
+    p_s = p.sum(axis=(0,) + group_axes, keepdims=True)
+    p_us = p.sum(axis=group_axes, keepdims=True)
+    p_is = p.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(p / p_s - (p_us / p_s) * (p_is / p_s))
+    weighted = np.where(p_s > 0, p_s * dev, 0.0)
+    return float(weighted.sum()) / math.prod(p.shape[: 1 + n_group])
+
+
+def nu_of_counts(counts: np.ndarray, u: int, group: tuple, cond: tuple) -> float:
+    """nu(u, I | S) from a table of counts or probabilities with one axis
+    per node."""
+    pool = [u, *group, *cond]
+    order = sorted(pool)
+    table = counts.sum(axis=tuple(v for v in range(counts.ndim) if v not in pool))
+    return nu_of_table(table.transpose([order.index(v) for v in pool]) / table.sum(),
+                       len(group))
+
+
+def nu_of_columns(columns: np.ndarray, arities: tuple, floor: int, u: int,
+                  group: tuple, cond: tuple) -> float:
+    """nu(u, I | S) over the sample rows that reveal every node of (u, I, S)
+    (erased cells hold a negative marker); 0 when fewer than ``floor``
+    >= 1 rows do, as erased mode's coverage floor has it.  ``columns``
+    holds one row per node."""
+    pool = [u, *group, *cond]
+    keep = np.logical_and.reduce([columns[v] >= 0 for v in pool])
+    usable = int(keep.sum())
+    if usable < floor:
+        return 0.0
+    code = np.zeros(usable, dtype=np.int64)
+    for v in pool:
+        code = code * arities[v] + columns[v][keep]
+    shape = tuple(arities[v] for v in pool)
+    counts = np.bincount(code, minlength=math.prod(shape))
+    return nu_of_table(counts.reshape(shape) / usable, len(group))
+
+
+def reference_nu(source: tuple):
+    """nu(u, group, cond) computed by this file from the learner's input."""
+    kind, *args = source
+    if kind == "joint":
+        return partial(nu_of_counts, args[0])
+    data, arities = args
+    if kind == "erased":  # the usable rows differ from call to call
+        return partial(nu_of_columns, np.ascontiguousarray(data.T), arities, COVERAGE_FLOOR)
+    counts = np.bincount(np.ravel_multi_index(tuple(data.T), arities),
+                         minlength=math.prod(arities))
+    return partial(nu_of_counts, counts.reshape(arities))
+
+
+def _fresh_sets(n: int, used: set, max_size: int) -> list[tuple]:
+    pool = [v for v in range(n) if v not in used]
+    return [c for size in range(1, max_size + 1) for c in combinations(pool, size)]
+
+
+def replay(nu, u: int, n: int, config, adds: list[tuple], grown: list, pruned: list) -> list[str]:
+    """Re-make node u's decisions with the reference nu: each add is a
+    maximiser over the fresh candidates, growth stops only when none
+    clears tau (or the budget ran out), and exactly the pruned nodes fall
+    below tau.  Comparisons allow NU_TOL, so that a float-rounding tie
+    between the program's nu and this one cannot fail an op."""
+    out, sofar, tau = [], [], config.tau
+    rounds = adds + ([None] if len(grown) <= config.budget else [])
+    for chosen in rounds:
+        values = {c: nu(u, c, tuple(sofar)) for c in _fresh_sets(n, {u, *sofar}, config.r - 1)}
+        best = max(values.values(), default=-math.inf)
+        if chosen is None and best > tau + NU_TOL:
+            out.append(f"node {u}: growth stopped at {sofar} with a candidate at {best:.6g}")
+        elif chosen is not None and values.get(chosen, -math.inf) < best - NU_TOL:
+            out.append(f"node {u}: add {chosen} at {values.get(chosen)} is not a maximiser "
+                       f"({best:.6g})")
+        if chosen is not None:
+            sofar = sorted({*sofar, *chosen})
+    for i in grown:
+        value = nu(u, (i,), tuple(v for v in grown if v != i))
+        if (i in pruned) != (value < tau) and abs(value - tau) > NU_TOL:
+            out.append(f"node {u}: {i} at {value:.6g} is {'' if i in pruned else 'not '}pruned")
+    return out
+
+
+def consistency(case: Case, outcome: Outcome, replayed: set) -> list[str]:
+    """How an op's output departs from what the learner's algorithm makes
+    of its input; empty when it agrees.  Holds on every seed.
+
+    Per node: adds come first, each a fresh set of at most r-1 nodes
+    whose value clears tau; then prunes, in grown order, each below tau;
+    the neighbours are the grown nodes left; the evaluations are one
+    sweep over the fresh candidates per growth round (plus the round
+    that found nothing, unless the budget ran out) and one prune call
+    per grown node.  Every trace value is recomputed by reference_nu, and
+    the nodes in ``replayed`` have every decision re-made with it
+    (replay).  The edges are the mutually included neighbours.  Queried
+    mode keeps no input to recompute from: its values must lie in [0, 1]
+    and its query accounting must match the evaluations.
+    """
+    result, config = outcome.result, case.config
+    n, tau, r = case.model.n, config.tau, config.r
+    nu = None if outcome.source is None else reference_nu(outcome.source)
+    out, neighbors, total = [], {}, 0
+    for u in range(n):
+        res = result.per_node[u]
+        trace = [(kind, tuple(int(v) for v in nodes), value) for kind, nodes, value in res.trace]
+        adds = [nodes for kind, nodes, _ in trace if kind == "add"]
+        if any(kind != "prune" for kind, _, _ in trace[len(adds):]):
+            out.append(f"node {u}: an add follows a prune in the trace")
+            continue
+        grown, evals, steps = [], 0, []
+        for _, nodes, value in trace[: len(adds)]:
+            evals += len(_fresh_sets(n, {u, *grown}, r - 1))
+            if not (0 < len(nodes) < r and value > tau and not set(nodes) & {u, *grown}):
+                out.append(f"node {u}: add {nodes} at {value:.6g} is not a fresh set above tau")
+            steps.append((nodes, tuple(grown), value))
+            grown = sorted({*grown, *nodes})
+        if len(grown) <= config.budget:
+            evals += len(_fresh_sets(n, {u, *grown}, r - 1))
+        evals += len(grown)
+        pruned = [nodes[0] for _, nodes, _ in trace[len(adds):]]
+        if pruned != [v for v in grown if v in pruned]:
+            out.append(f"node {u}: prunes {pruned} are not grown nodes in grown order")
+        for (_, _, value), i in zip(trace[len(adds):], pruned):
+            if not value < tau:
+                out.append(f"node {u}: prune of {i} at {value:.6g} is not below tau")
+            steps.append(((i,), tuple(v for v in grown if v != i), value))
+        if tuple(int(v) for v in res.neighbors) != tuple(v for v in grown if v not in pruned):
+            out.append(f"node {u}: neighbours {res.neighbors} do not follow from the trace")
+        if res.evaluations != evals:
+            out.append(f"node {u}: {res.evaluations} evaluations, the trace implies {evals}")
+        for nodes, cond, value in steps:
+            ok = 0.0 <= value <= 1.0 if nu is None else abs(nu(u, nodes, cond) - value) <= NU_TOL
+            if not ok:
+                out.append(f"node {u}: nu({nodes} | {cond}) = {value!r} is not recomputed")
+        if nu is not None and u in replayed:
+            out += replay(nu, u, n, config, adds, grown, pruned)
+        total += res.evaluations
+        neighbors[u] = {int(v) for v in res.neighbors}
+    edges = {(u, v) for u in neighbors for v in neighbors[u]
+             if u < v and u in neighbors.get(v, ())}
+    if {tuple(sorted(int(v) for v in e)) for e in result.edges} != edges:
+        out.append("edges are not the mutually included neighbours")
+    acc = result.accounting
+    if acc.get("evaluations") != total:
+        out.append(f"accounting counts {acc.get('evaluations')} evaluations, nodes {total}")
+    if acc.get("mode") == "queried" and not (
+        acc["queries_issued"] == total and acc["samples_consumed"] == total * M_BATCH
+        and acc["max_query_size"] <= CAPACITY
+    ):
+        out.append(f"query accounting {acc} does not match {total} evaluations")
+    if outcome.round_trip is not None:
+        written, read = outcome.round_trip
+        if tuple(written.arities) != tuple(read.arities) or not np.array_equal(
+            written.data, read.data
+        ):
+            out.append("the text round trip changed the samples")
+    return out
 
 
 def summarize(workload: str, outcome: Outcome) -> dict:
@@ -394,10 +583,12 @@ def records_ok(outcome: Outcome) -> bool:
     )
 
 
-def check(workload: str, case: Case, outcome: Outcome, reference: list | None) -> list[str]:
-    problems = []
-    if not outcome.score.exact_match:
-        problems.append("learned edges differ from the clique graph")
+def check(workload: str, case: Case, outcome: Outcome, reference: list | None,
+          op: int = 0) -> list[str]:
+    """Everything wrong with op number ``op``'s output; empty when it is correct."""
+    n = case.model.n
+    k = REPLAYED_NODES.get(workload, n)
+    problems = consistency(case, outcome, {(op * k + j) % n for j in range(k)})
     if not records_ok(outcome):
         problems.append("a verification record is not ok")
     if reference is not None:
@@ -557,6 +748,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     trial_s, learn_s, completed = [], [], []
     attempted = failed = matched = 0
     paused = 0.0  # time spent in the set-up repeats inside the loop
+    checking = 0.0  # time spent checking outputs: within --seconds, but not loop time
     try:
         start = clock()
         while attempted < min_ops or clock() - start - paused < seconds:
@@ -579,7 +771,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
                 continue
             trial_s.append(clock() - t0)
             learn_s.append(outcome.learn_s)
-            problems = check(workload, case, outcome, reference)
+            t0 = clock()
+            problems = check(workload, case, outcome, reference, attempted - 1)
+            checking += clock() - t0
             matched += outcome.score.exact_match and records_ok(outcome)
             if problems:
                 failed += 1
@@ -591,7 +785,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
                 "grown": {u: sum(len(nodes) for kind, nodes, _ in res.trace if kind == "add")
                           for u, res in outcome.result.per_node.items()},
             })
-        loop_s = clock() - start - paused
+            del outcome  # so that peak_rss_mb never holds two ops' inputs
+        loop_s = clock() - start - paused - checking
     finally:
         if tracer is not None:
             tracer.restore()

@@ -7,7 +7,10 @@ For every workload: a 1-op untraced run (3 ops on a workload with a
 true p90) and a 2-op traced run print
 every metric BENCHMARK.json names, with its unit, and fail nothing; a
 planted wrong edge and a perturbed trace value in the reference are each
-counted as a failed op, which shows the correctness check can fail.
+counted as a failed op, which shows the correctness check can fail.  On
+a seed without a reference, the seed-independent check must pass an
+op's output and flag it once a wrong edge, a wrong evaluation count or
+(where the trace is recomputed) a perturbed trace value is planted.
 Finally the benchmark must refuse to run, exiting non-zero without a
 result, from a directory that holds only BENCHMARK.json and perfbench/.
 Exits non-zero on the first failed expectation.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import shutil
@@ -78,6 +82,33 @@ def check_planted(workload: str) -> None:
     print(f"smoke: {workload}: planted wrong edge and perturbed nu_hat both counted as failed")
 
 
+def check_planted_without_reference(workload: str) -> None:
+    setup = run.setup(run.CONFIRM_SEED, 1)
+    case = setup.cases[0]
+    outcome = run.OPS[workload](run.program_calls(setup.ml, setup.mlio, None), case)
+    expect(run.check(workload, case, outcome, None) == [],
+           f"{workload}: seed {run.CONFIRM_SEED} output fails the consistency check")
+    plants = {}
+    result = copy.deepcopy(outcome.result)
+    result.edges.add(next((a, b) for a in range(12) for b in range(a + 1, 12)
+                          if (a, b) not in result.edges))
+    plants["wrong edge"] = result
+    result = copy.deepcopy(outcome.result)
+    result.per_node[0].evaluations += 1
+    plants["wrong evaluation count"] = result
+    if outcome.source is not None:
+        result = copy.deepcopy(outcome.result)
+        node = next(res for res in result.per_node.values() if res.trace)
+        kind, nodes, value = node.trace[0]
+        node.trace[0] = (kind, nodes, value + 1e-6)
+        plants["perturbed nu_hat"] = result
+    for label, planted in plants.items():
+        problems = run.check(workload, case, dataclasses.replace(outcome, result=planted), None)
+        expect(bool(problems), f"{workload}: planted {label} passed the consistency check")
+    print(f"smoke: {workload}: seed {run.CONFIRM_SEED}: planted " + ", ".join(plants)
+          + " each flagged without a reference")
+
+
 def check_refuses_without_sources() -> None:
     run.OUT_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=run.OUT_DIR) as tmp:
@@ -101,6 +132,7 @@ def main() -> int:
         check_metrics(workload, 0)
         check_metrics(workload, 1)
         check_planted(workload)
+        check_planted_without_reference(workload)
     check_refuses_without_sources()
     print("smoke: ok")
     return 0
