@@ -24,6 +24,7 @@ from .inference import (
     marginal,
     exact_conditional_mi,
     exact_nu,
+    nu_from_marginals,
 )
 from .sampling import ERASED, SampleSet, sample_exact, gibbs_sample, erase, spawn_rng
 from .estimation import (
@@ -31,11 +32,9 @@ from .estimation import (
     InsufficientCoverageError,
     QueryCapacityError,
     QueryOracle,
-    empirical_prob,
     nu_hat,
     nu_hat_erased,
     nu_hat_queried,
-    nu_from_marginals,
     required_samples_full,
     required_samples_erased,
     log10_required_samples_full,

@@ -1,4 +1,4 @@
-"""Empirical probabilities, the nu-hat estimator, and sample-size formulas.
+"""Count tables, the nu-hat estimator, and sample-size formulas.
 
 nu-hat measures, from samples, how far the joint conditional law of
 (X_u, X_I) given X_S sits from the product of its conditional marginals:
@@ -6,19 +6,22 @@ nu-hat measures, from samples, how far the joint conditional law of
     nu_hat = mean over states (R, G) of the empirically weighted sum over
     observed x_S of |Phat(u=R, I=G | x_S) - Phat(u=R | x_S) Phat(I=G | x_S)|
 
-Counts stay exact integers; each term is divided once at the end.
-Conditioning configurations never observed contribute zero.
+Every estimator builds one integer count table over (u, I..., S) and
+hands it to ``nu_from_marginals``; the count-weighted sum is divided by
+the number of usable rows once at the end.  Conditioning configurations
+never observed contribute zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .sampling import ERASED, SampleSet, spawn_rng
+from .inference import nu_from_marginals
+from .sampling import ERASED, SampleSet, inverse_cdf_sampler, spawn_rng
 
 
 class InsufficientCoverageError(RuntimeError):
@@ -33,12 +36,11 @@ class QueryCapacityError(ValueError):
 class EmpiricalDistribution:
     """Read-only view of a sample set with exact event counting.
 
-    Columns are cached contiguously so that repeated nu-hat evaluations
+    Columns are stored contiguously so that repeated nu-hat evaluations
     cost the same regardless of how many nodes the sample matrix has.
     """
 
     samples: SampleSet
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._columns = np.ascontiguousarray(self.samples.data.T)
@@ -55,60 +57,53 @@ class EmpiricalDistribution:
         return self.samples.arities
 
 
-def empirical_prob(
-    emp: EmpiricalDistribution, nodes: tuple[int, ...], states: tuple[int, ...]
-) -> float:
-    """Fraction of samples whose restriction to `nodes` equals `states`.
+def _count_table(
+    column: Callable[[int], np.ndarray],
+    arities: tuple[int, ...],
+    u: int,
+    group: tuple[int, ...],
+    cond: tuple[int, ...],
+) -> tuple[np.ndarray, int]:
+    """Counts of (X_u, X_I, X_S) over the rows of `column(v)`, as a table
+    with axes (u, I..., S), and the number of rows dropped because they
+    erase a needed cell.
 
-    Erased cells never match, so with missing data the probabilities of
-    disjoint events sum to at most one.
+    The S axis is the mixed-radix code of the conditioning columns or,
+    when S has more configurations than there are rows, the index of each
+    row's code among the distinct codes, so the table never exceeds
+    k_u * prod(k_I) * m cells.
     """
-    if len(nodes) == 0:
-        raise ValueError("need at least one node")
-    key = (tuple(nodes), tuple(states))
-    if key not in emp._cache:
-        block = emp.samples.data[:, list(nodes)]
-        emp._cache[key] = int(np.all(block == np.asarray(states), axis=1).sum())
-    return emp._cache[key] / emp.m
-
-
-def _nu_hat_from_columns(
-    columns: list[np.ndarray], k_u: int, k_group: tuple[int, ...], k_cond: tuple[int, ...]
-) -> float:
-    """nu-hat over complete-case columns ordered (u, I..., S...)."""
-    m = columns[0].size
-    if m == 0:
-        raise InsufficientCoverageError("no complete samples for this node set")
-    block_size = k_u * math.prod(k_group)
-    if block_size * math.prod(k_cond) > 1 << 62:
+    m = column(u).size
+    block = arities[u] * math.prod(arities[v] for v in group)
+    n_s = math.prod(arities[v] for v in cond)
+    if block * n_s > 1 << 62:
         raise ValueError("joint state space too large to code in 64 bits")
-    # mixed-radix code with the conditioning columns most significant, the
-    # target node least significant: dividing by the block size then groups
-    # rows by conditioning configuration
-    codes = np.zeros(m, dtype=np.int64)
-    n_group = len(k_group)
-    for j, k in enumerate(k_cond):
-        codes = codes * k + columns[1 + n_group + j]
-    for j, k in enumerate(k_group):
-        codes = codes * k + columns[1 + j]
-    codes = codes * k_u + columns[0]
-    ucodes, counts = np.unique(codes, return_counts=True)
-    cond_codes = ucodes // block_size
-    boundaries = np.concatenate(
-        ([0], np.nonzero(np.diff(cond_codes))[0] + 1, [ucodes.size])
-    )
-    total = 0.0
-    group_axes = tuple(range(n_group))
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        dense = np.zeros(block_size)
-        dense[ucodes[start:stop] % block_size] = counts[start:stop]
-        block = dense.reshape(k_group + (k_u,))
-        c_s = block.sum()
-        c_is = block.sum(axis=-1, keepdims=True)
-        c_us = block.sum(axis=group_axes, keepdims=True)
-        dev = np.abs(block / c_s - (c_is / c_s) * (c_us / c_s))
-        total += (c_s / m) * float(dev.mean())
-    return total
+    dropped = np.zeros(m, dtype=bool)
+    for v in (u,) + group + cond:
+        dropped |= column(v) == ERASED
+    # S is the most significant digit and u the least, so one bincount
+    # lays the table out as (S, I..., u)
+    code = np.zeros(m, dtype=np.int64)
+    for v in cond:
+        code = code * arities[v] + column(v)
+    if n_s > m:
+        labels, code = np.unique(code, return_inverse=True)
+        n_s = labels.size
+    for v in group + (u,):
+        code = code * arities[v] + column(v)
+    code[dropped] = block * n_s
+    counts = np.bincount(code, minlength=block * n_s + 1)
+    shape = (n_s,) + tuple(arities[v] for v in group) + (arities[u],)
+    return counts[:-1].reshape(shape).swapaxes(0, -1), int(counts[-1])
+
+
+def _nu_of_counts(table: np.ndarray, usable: int) -> float:
+    """nu-hat from a (u, I..., S) count table over `usable` rows."""
+    if usable == 0:
+        raise InsufficientCoverageError("no complete samples for this node set")
+    c_us = table.sum(axis=tuple(range(1, table.ndim - 1)))
+    c_is = table.sum(axis=0)
+    return nu_from_marginals(table, c_us, c_is, c_us.sum(axis=0)) / usable
 
 
 def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
@@ -128,13 +123,10 @@ def nu_hat(
 ) -> float:
     """Estimate nu for (u, I=group | S=cond) from complete samples."""
     group, cond = _check_disjoint(u, group, cond)
-    columns = [emp.column(v) for v in (u,) + group + cond]
-    if any((c == ERASED).any() for c in columns):
+    table, dropped = _count_table(emp.column, emp.arities, u, group, cond)
+    if dropped:
         raise ValueError("samples contain erasures; use nu_hat_erased")
-    k = emp.arities
-    return _nu_hat_from_columns(
-        columns, k[u], tuple(k[v] for v in group), tuple(k[v] for v in cond)
-    )
+    return _nu_of_counts(table, emp.m)
 
 
 def nu_hat_erased(
@@ -145,49 +137,13 @@ def nu_hat_erased(
     Returns the estimate together with the number of usable samples.
     """
     group, cond = _check_disjoint(u, group, cond)
-    columns = [emp.column(v) for v in (u,) + group + cond]
-    erased = np.zeros(emp.m, dtype=bool)
-    for c in columns:
-        erased |= c == ERASED
-    if erased.all():
+    table, dropped = _count_table(emp.column, emp.arities, u, group, cond)
+    usable = emp.m - dropped
+    if usable == 0:
         raise InsufficientCoverageError(
             f"no sample reveals all of nodes {sorted((u,) + group + cond)}"
         )
-    keep = ~erased
-    columns = [c[keep] for c in columns]
-    k = emp.arities
-    value = _nu_hat_from_columns(
-        columns, k[u], tuple(k[v] for v in group), tuple(k[v] for v in cond)
-    )
-    return value, int(columns[0].size)
-
-
-def nu_from_marginals(
-    p_uis: np.ndarray, p_us: np.ndarray, p_is: np.ndarray, p_s: np.ndarray
-) -> float:
-    """Evaluate the nu functional from explicit (possibly perturbed)
-    marginal tables.
-
-    Axis convention: ``p_uis`` has axes (u, I..., S...); ``p_us`` has axes
-    (u, S...), ``p_is`` axes (I..., S...), ``p_s`` axes (S...).  The tables
-    need not be mutually consistent, which is exactly what the estimator
-    perturbation analysis requires.
-    """
-    p_uis = np.asarray(p_uis, dtype=float)
-    n_group = p_uis.ndim - np.asarray(p_s).ndim - 1
-    k_u = p_uis.shape[0]
-    a_us = np.asarray(p_us, dtype=float).reshape(
-        (k_u,) + (1,) * n_group + p_uis.shape[1 + n_group :]
-    )
-    a_is = np.asarray(p_is, dtype=float).reshape((1,) + p_uis.shape[1:])
-    a_s = np.asarray(p_s, dtype=float).reshape(
-        (1,) * (1 + n_group) + p_uis.shape[1 + n_group :]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_u = np.where(a_s > 0.0, a_us / a_s, 0.0)
-        dev = np.abs(np.where(a_s > 0.0, p_uis, 0.0) - cond_u * a_is)
-    n_outer = k_u * math.prod(p_uis.shape[1 : 1 + n_group])
-    return float(dev.sum()) / n_outer
+    return _nu_of_counts(table, usable), usable
 
 
 @dataclass
@@ -204,18 +160,7 @@ class QueryOracle:
     @classmethod
     def from_joint(cls, joint, capacity: int, seed: int) -> "QueryOracle":
         """Back the oracle by fresh exact draws from a joint table."""
-        rng = spawn_rng(seed, "oracle")
-        flat = joint.probs.ravel()
-        cdf = np.cumsum(flat)
-        cdf[-1] = 1.0
-        shape = joint.probs.shape
-
-        def draw(m: int) -> np.ndarray:
-            idx = np.minimum(
-                np.searchsorted(cdf, rng.random(m), side="right"), flat.size - 1
-            )
-            return np.stack(np.unravel_index(idx, shape), axis=1)
-
+        draw = inverse_cdf_sampler(joint.probs, spawn_rng(seed, "oracle"))
         return cls(source=draw, capacity=capacity)
 
     @classmethod
@@ -262,15 +207,8 @@ def nu_hat_queried(
     nodes = tuple(sorted((u,) + group + cond))
     block = oracle.query(nodes, m_batch)
     pos = {v: j for j, v in enumerate(nodes)}
-    columns = [
-        np.ascontiguousarray(block[:, pos[v]]) for v in (u,) + group + cond
-    ]
-    return _nu_hat_from_columns(
-        columns,
-        arities[u],
-        tuple(arities[v] for v in group),
-        tuple(arities[v] for v in cond),
-    )
+    table, dropped = _count_table(lambda v: block[:, pos[v]], arities, u, group, cond)
+    return _nu_of_counts(table, len(block) - dropped)
 
 
 def _log_bracket(ell: float, omega: float, n: int, k_max: int, r: int) -> float:

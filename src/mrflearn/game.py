@@ -31,7 +31,7 @@ from .model import (
     clique_graph,
     compute_gamma_delta,
 )
-from .sampling import spawn_rng
+from .sampling import inverse_cdf_sampler, spawn_rng
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,43 @@ class GameRound:
     payoff: float
 
 
+def _phi_table(
+    model: MarkovRandomField, u: int, revealed: tuple[int, ...], graph: CliqueGraph
+) -> np.ndarray:
+    """Bob's phi for every (state of u, states of the revealed set).
+
+    Each clique potential on u whose other members are all revealed is
+    counted with weight C(d_u, s) / C(d_u - l, s - l), the reciprocal of
+    the chance that an l-set of neighbors lands inside a uniform size-s
+    subset; the unary potential is always visible with weight one.
+    """
+    if not set(revealed) <= graph.neighbors[u]:
+        raise ValueError(f"revealed set {revealed} is not inside the neighborhood of {u}")
+    d_u = graph.degrees[u]
+    s = len(revealed)
+    phi = np.zeros((model.arities[u],) + tuple(model.arities[v] for v in revealed))
+    for verts in model.incident(u):
+        others = [v for v in verts if v != u]
+        if not set(others) <= set(revealed):
+            continue
+        ell = len(others)
+        coeff = math.comb(d_u, s) / math.comb(d_u - ell, s - ell)
+        target = [0 if v == u else 1 + revealed.index(v) for v in verts]
+        perm = np.argsort(target)
+        aligned = model.potentials[verts].values.transpose(perm)
+        shape = [1] * (1 + s)
+        for pos, size in zip(sorted(target), aligned.shape):
+            shape[pos] = size
+        phi = phi + coeff * aligned.reshape(shape)
+    return phi
+
+
+def _wagers(phi: np.ndarray) -> np.ndarray:
+    """Bob's stake per (challenge, revealed states): the phi of the
+    challenged state minus the phis of all rival states."""
+    return 2.0 * phi - phi.sum(axis=0, keepdims=True)
+
+
 def bob_phi(
     model: MarkovRandomField,
     u: int,
@@ -56,33 +93,12 @@ def bob_phi(
     graph: CliqueGraph | None = None,
 ) -> float:
     """Unbiased estimate of the local energy of u in `state` from the
-    revealed neighbor subset.
-
-    Each clique potential on u whose other members are all revealed is
-    counted with weight C(d_u, s) / C(d_u - l, s - l), the reciprocal of
-    the chance that an l-set of neighbors lands inside a uniform size-s
-    subset; the unary potential is always visible with weight one.
-    """
-    graph = graph or clique_graph(model)
-    d_u = graph.degrees[u]
+    revealed neighbor subset, which must have size s when s is given."""
     revealed = tuple(int(v) for v in revealed)
-    if not set(revealed) <= graph.neighbors[u]:
-        raise ValueError(f"revealed set {revealed} is not inside the neighborhood of {u}")
-    if s is None:
-        s = len(revealed)
-    if len(revealed) != s:
+    phi = _phi_table(model, u, revealed, graph or clique_graph(model))
+    if s is not None and len(revealed) != s:
         raise ValueError(f"revealed set has size {len(revealed)}, expected s={s}")
-    lookup = dict(zip(revealed, revealed_states))
-    total = 0.0
-    for verts in model.incident(u):
-        others = [v for v in verts if v != u]
-        if not set(others) <= set(revealed):
-            continue
-        ell = len(others)
-        coeff = math.comb(d_u, s) / math.comb(d_u - ell, s - ell)
-        idx = tuple(state if v == u else int(lookup[v]) for v in verts)
-        total += coeff * float(model.potentials[verts].values[idx])
-    return total
+    return float(phi[(state,) + tuple(int(x) for x in revealed_states)])
 
 
 def bob_wager(
@@ -95,12 +111,9 @@ def bob_wager(
 ) -> float:
     """Bob's stake: the phi estimate of the challenged state minus the
     phi estimates of all rival states."""
-    graph = graph or clique_graph(model)
-    phis = [
-        bob_phi(model, u, b, revealed, revealed_states, s=len(revealed), graph=graph)
-        for b in range(model.arities[u])
-    ]
-    return 2.0 * phis[state] - sum(phis)
+    revealed = tuple(int(v) for v in revealed)
+    wagers = _wagers(_phi_table(model, u, revealed, graph or clique_graph(model)))
+    return float(wagers[(state,) + tuple(int(x) for x in revealed_states)])
 
 
 def wager_cap(model: MarkovRandomField) -> float:
@@ -126,30 +139,18 @@ def _probe_sets(graph: CliqueGraph, u: int, r: int, excluded: frozenset = frozen
 def _wager_tables(model: MarkovRandomField, u: int):
     """For each probe set I: the wager indexed by (challenge, states of I)."""
     graph = clique_graph(model)
-    subsets = _probe_sets(graph, u, model.r)
-    k_u = model.arities[u]
-    d_u = graph.degrees[u]
-    tables = []
-    for revealed in subsets:
-        s = len(revealed)
-        dims = tuple(model.arities[v] for v in revealed)
-        phi = np.zeros((k_u,) + dims)
-        for verts in model.incident(u):
-            others = [v for v in verts if v != u]
-            if not set(others) <= set(revealed):
-                continue
-            ell = len(others)
-            coeff = math.comb(d_u, s) / math.comb(d_u - ell, s - ell)
-            target = [0 if v == u else 1 + revealed.index(v) for v in verts]
-            perm = np.argsort(target)
-            aligned = model.potentials[verts].values.transpose(perm)
-            shape = [1] * (1 + len(revealed))
-            for pos, size in zip(sorted(target), aligned.shape):
-                shape[pos] = size
-            phi = phi + coeff * aligned.reshape(shape)
-        wagers = 2.0 * phi - phi.sum(axis=0, keepdims=True)
-        tables.append((revealed, wagers))
-    return tables
+    return [
+        (revealed, _wagers(_phi_table(model, u, revealed, graph)))
+        for revealed in _probe_sets(graph, u, model.r)
+    ]
+
+
+def _covariance(joint: JointTable, u: int, revealed: tuple[int, ...]) -> np.ndarray:
+    """P(X_u, X_I) - P(X_u) P(X_I) over the axes (u, I...)."""
+    p_ui = marginal(joint, (u,) + revealed)
+    p_u = p_ui.sum(axis=tuple(range(1, p_ui.ndim)), keepdims=True)
+    p_i = p_ui.sum(axis=0, keepdims=True)
+    return p_ui - p_u * p_i
 
 
 def play_round(
@@ -163,16 +164,7 @@ def play_round(
     tables = _wager_tables(model, u)
     if not tables:
         raise ValueError(f"node {u} is isolated; the reveal draw is empty")
-    flat = joint.probs.ravel()
-    cdf = np.cumsum(flat)
-    cdf[-1] = 1.0
-
-    def draw():
-        idx = min(int(np.searchsorted(cdf, rng.random(), side="right")), flat.size - 1)
-        return np.unravel_index(idx, joint.probs.shape)
-
-    x = draw()
-    x_prime = draw()
+    x, x_prime = inverse_cdf_sampler(joint.probs, rng)(2)
     challenge = int(rng.integers(model.arities[u]))
     revealed, wagers = tables[int(rng.integers(len(tables)))]
     states = tuple(int(x[v]) for v in revealed)
@@ -200,10 +192,7 @@ def expected_payoff_exact(
     k_u = model.arities[u]
     total = 0.0
     for revealed, wagers in tables:
-        p_ui = marginal(joint, (u,) + revealed)
-        p_u = p_ui.reshape(k_u, -1).sum(axis=1).reshape((k_u,) + (1,) * len(revealed))
-        p_i = p_ui.sum(axis=0, keepdims=True)
-        total += float(((p_ui - p_u * p_i) * wagers).sum())
+        total += float((_covariance(joint, u, revealed) * wagers).sum())
     return total / (k_u * len(tables))
 
 
@@ -222,17 +211,7 @@ def expected_payoff_mc(
         raise ValueError(f"node {u} is isolated; the reveal draw is empty")
     joint = joint or exact_joint(model)
     rng = spawn_rng(seed, "game")
-    flat = joint.probs.ravel()
-    cdf = np.cumsum(flat)
-    cdf[-1] = 1.0
-    shape = joint.probs.shape
-
-    def draw(count):
-        idx = np.minimum(
-            np.searchsorted(cdf, rng.random(count), side="right"), flat.size - 1
-        )
-        return np.stack(np.unravel_index(idx, shape), axis=1)
-
+    draw = inverse_cdf_sampler(joint.probs, rng)
     x = draw(rounds)
     x_prime = draw(rounds)
     challenges = rng.integers(model.arities[u], size=rounds)
@@ -275,16 +254,9 @@ def payoff_upper_bound_check(
     subsets = _probe_sets(graph, u, model.r)
     if not subsets:
         return {"node": u, "exact": 0.0, "upper": 0.0, "slack": 0.0, "ok": True}
-    k_u = model.arities[u]
-    deviation = 0.0
-    for revealed in subsets:
-        p_ui = marginal(joint, (u,) + revealed)
-        p_u = p_ui.reshape(k_u, -1).sum(axis=1).reshape((k_u,) + (1,) * len(revealed))
-        p_i = p_ui.sum(axis=0, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(p_i > 0.0, p_ui / p_i, 0.0)
-        deviation += float((p_i * np.abs(cond - p_u)).sum()) / k_u
-    deviation /= len(subsets)
+    deviation = sum(
+        float(np.abs(_covariance(joint, u, revealed)).sum()) for revealed in subsets
+    ) / (model.arities[u] * len(subsets))
     upper = wager_cap(model) * deviation
     exact = expected_payoff_exact(model, u, joint)
     return {
@@ -382,15 +354,7 @@ def verify_mi_chain(
         for revealed in subsets:
             nu = exact_nu(joint, u, revealed, ())
             mi = exact_conditional_mi(joint, u, revealed, ())
-            p_ui = marginal(joint, (u,) + revealed)
-            k_u = model.arities[u]
-            p_u = p_ui.reshape(k_u, -1).sum(axis=1).reshape(
-                (k_u,) + (1,) * len(revealed)
-            )
-            p_i = p_ui.sum(axis=0, keepdims=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.where(p_i > 0.0, p_ui / p_i, 0.0)
-            dev = float((p_i * np.abs(cond - p_u)).sum()) / k_u
+            dev = float(np.abs(_covariance(joint, u, revealed)).sum()) / model.arities[u]
             links_ok &= math.sqrt(mi / 2.0) >= nu - 1e-12
             links_ok &= nu >= dev / k_r - 1e-12
             nus.append(nu)

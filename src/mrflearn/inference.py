@@ -3,7 +3,9 @@
 Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
-learner estimates from samples.
+learner estimates from samples.  ``nu_from_marginals`` is the one
+reduction behind nu: the exact value and every sample estimate are
+computed by it.
 """
 
 from __future__ import annotations
@@ -103,6 +105,34 @@ def exact_conditional_mi(
     return max(mi, 0.0)
 
 
+def nu_from_marginals(
+    p_uis: np.ndarray, p_us: np.ndarray, p_is: np.ndarray, p_s: np.ndarray
+) -> float:
+    """The nu functional from explicit (possibly perturbed) marginal tables.
+
+    Axis convention: ``p_uis`` has axes (u, I..., S...); ``p_us`` has axes
+    (u, S...), ``p_is`` axes (I..., S...), ``p_s`` axes (S...).  The tables
+    need not be mutually consistent, which is exactly what the estimator
+    perturbation analysis requires.  Conditioning configurations with
+    ``p_s == 0`` contribute zero.  Scaling all four tables by one factor
+    scales the result by it, so count tables give the count-weighted sum.
+    """
+    p_uis = np.asarray(p_uis, dtype=float)
+    n_group = p_uis.ndim - np.asarray(p_s).ndim - 1
+    k_u = p_uis.shape[0]
+    a_us = np.asarray(p_us, dtype=float).reshape(
+        (k_u,) + (1,) * n_group + p_uis.shape[1 + n_group :]
+    )
+    a_is = np.asarray(p_is, dtype=float).reshape((1,) + p_uis.shape[1:])
+    a_s = np.asarray(p_s, dtype=float).reshape(
+        (1,) * (1 + n_group) + p_uis.shape[1 + n_group :]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.where(a_s > 0.0, np.abs(p_uis - a_us / a_s * a_is), 0.0)
+    n_outer = k_u * math.prod(p_uis.shape[1 : 1 + n_group])
+    return float(dev.sum()) / n_outer
+
+
 def exact_nu(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...] = ()
 ) -> float:
@@ -113,8 +143,5 @@ def exact_nu(
     Always in [0, 1] and dominated by sqrt(MI/2).
     """
     table, p_s, p_us, p_is, i_axes = _split_uis(joint, u, group, cond)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.abs(table / p_s - (p_us / p_s) * (p_is / p_s))
-        weighted = np.where(p_s > 0.0, p_s * dev, 0.0)
-    n_outer = weighted.shape[0] * math.prod(weighted.shape[1 : 1 + len(i_axes)])
-    return float(weighted.sum()) / n_outer
+    p_s = p_s.reshape(table.shape[1 + len(i_axes) :])
+    return nu_from_marginals(table, p_us, p_is, p_s)

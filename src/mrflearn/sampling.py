@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,17 +76,30 @@ class SampleSet:
         return self.data.shape[1]
 
 
+def inverse_cdf_sampler(
+    probs: np.ndarray, rng: np.random.Generator
+) -> Callable[[int], np.ndarray]:
+    """Return draw(count): `count` i.i.d. configurations of the probability
+    table `probs`, one row of states each, by inverse CDF on
+    ``rng.random(count)``."""
+    flat = probs.ravel()
+    cdf = np.cumsum(flat)
+    cdf[-1] = 1.0
+
+    def draw(count: int) -> np.ndarray:
+        idx = np.minimum(
+            np.searchsorted(cdf, rng.random(count), side="right"), flat.size - 1
+        )
+        return np.stack(np.unravel_index(idx, probs.shape), axis=1)
+
+    return draw
+
+
 def sample_exact(joint: JointTable, m: int, seed: int) -> SampleSet:
     """Draw m i.i.d. rows from an exact joint table by inverse CDF."""
     if m < 1:
         raise ValueError("need at least one sample")
-    rng = spawn_rng(seed, "sample")
-    flat = joint.probs.ravel()
-    cdf = np.cumsum(flat)
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(m), side="right")
-    draws = np.minimum(draws, flat.size - 1)
-    states = np.stack(np.unravel_index(draws, joint.probs.shape), axis=1)
+    states = inverse_cdf_sampler(joint.probs, spawn_rng(seed, "sample"))(m)
     return SampleSet(states, joint.arities, seed=seed)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mrflearn import (
+    ERASED,
     CliqueTensor,
     EmpiricalDistribution,
     InsufficientCoverageError,
@@ -14,7 +15,6 @@ from mrflearn import (
     SampleSet,
     canonicalize,
     compute_gamma_delta,
-    empirical_prob,
     erase,
     exact_joint,
     exact_nu,
@@ -33,45 +33,6 @@ from mrflearn.generate import random_raw_model
 from conftest import ising_tensor
 
 ISING_NU = 0.11552928931500246
-
-
-# ---------------------------------------------------------------- empirical_prob
-
-
-def test_empirical_prob_point_mass():
-    data = np.tile([1, 0, 1], (4, 1))
-    emp = EmpiricalDistribution(SampleSet(data, (2, 2, 2)))
-    assert empirical_prob(emp, (0, 1, 2), (1, 0, 1)) == 1.0
-    assert empirical_prob(emp, (0, 1, 2), (0, 0, 1)) == 0.0
-
-
-def test_empirical_prob_balanced_column():
-    data = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-    emp = EmpiricalDistribution(SampleSet(data, (2, 2)))
-    assert empirical_prob(emp, (0,), (0,)) == 0.5
-    assert empirical_prob(emp, (0,), (1,)) == 0.5
-
-
-def test_empirical_prob_sums_to_one_without_erasures():
-    data = np.array([[0, 1], [1, 1], [1, 0], [0, 0], [1, 1]])
-    emp = EmpiricalDistribution(SampleSet(data, (2, 2)))
-    total = sum(
-        empirical_prob(emp, (0, 1), combo)
-        for combo in itertools.product(range(2), range(2))
-    )
-    assert total == pytest.approx(1.0)
-
-
-def test_empirical_prob_with_erasures_sums_below_one():
-    from mrflearn import ERASED
-
-    data = np.array([[0, 1], [ERASED, 1], [1, 0], [0, ERASED]])
-    emp = EmpiricalDistribution(SampleSet(data, (2, 2)))
-    total = sum(
-        empirical_prob(emp, (0, 1), combo)
-        for combo in itertools.product(range(2), range(2))
-    )
-    assert total == pytest.approx(0.5)  # erased cells match no event
 
 
 # ---------------------------------------------------------------- nu_hat
@@ -164,10 +125,16 @@ def test_nu_hat_erased_with_full_reveal_matches_plain(ising_pair):
 
 
 def test_nu_hat_erased_no_coverage():
-    data = np.array([[-1, 0], [-1, 1]])
+    data = np.array([[-1, 0], [-1, 1], [0, -1]])
     emp = EmpiricalDistribution(SampleSet(data, (2, 2)))
-    with pytest.raises(InsufficientCoverageError):
+    message = r"no sample reveals all of nodes \[0, 1\]"
+    with pytest.raises(InsufficientCoverageError, match=message):
         nu_hat_erased(emp, 0, (1,))
+    empty = EmpiricalDistribution(SampleSet(np.zeros((0, 3), dtype=np.int64), (2, 2, 2)))
+    with pytest.raises(InsufficientCoverageError, match="no complete samples"):
+        nu_hat(empty, 0, (1,), (2,))
+    with pytest.raises(InsufficientCoverageError, match="no sample reveals"):
+        nu_hat_erased(empty, 0, (1,), (2,))
 
 
 def test_nu_hat_erased_effective_sample_count():
@@ -178,6 +145,125 @@ def test_nu_hat_erased_effective_sample_count():
     p = 0.8**4
     sigma = math.sqrt(samples.m * p * (1 - p))
     assert abs(eff - samples.m * p) <= 3 * sigma
+
+
+# ---------------------------------------------------------------- count-table kernel
+
+
+def reference_nu_hat(columns, k_u, k_group, k_cond):
+    """The np.unique + per-conditioning-block kernel the count table
+    replaced, over complete-case columns ordered (u, I..., S...)."""
+    m = columns[0].size
+    block_size = k_u * math.prod(k_group)
+    codes = np.zeros(m, dtype=np.int64)
+    n_group = len(k_group)
+    for j, k in enumerate(k_cond):
+        codes = codes * k + columns[1 + n_group + j]
+    for j, k in enumerate(k_group):
+        codes = codes * k + columns[1 + j]
+    codes = codes * k_u + columns[0]
+    ucodes, counts = np.unique(codes, return_counts=True)
+    cond_codes = ucodes // block_size
+    boundaries = np.concatenate(
+        ([0], np.nonzero(np.diff(cond_codes))[0] + 1, [ucodes.size])
+    )
+    total = 0.0
+    group_axes = tuple(range(n_group))
+    for start, stop in zip(boundaries[:-1], boundaries[1:]):
+        dense = np.zeros(block_size)
+        dense[ucodes[start:stop] % block_size] = counts[start:stop]
+        block = dense.reshape(k_group + (k_u,))
+        c_s = block.sum()
+        c_is = block.sum(axis=-1, keepdims=True)
+        c_us = block.sum(axis=group_axes, keepdims=True)
+        dev = np.abs(block / c_s - (c_is / c_s) * (c_us / c_s))
+        total += (c_s / m) * float(dev.mean())
+    return total
+
+
+def reference_complete_case(data, arities, u, group, cond):
+    """Reference nu-hat over the rows revealing every needed node, and
+    the number of those rows."""
+    nodes = (u,) + group + cond
+    keep = np.all(data[:, list(nodes)] != ERASED, axis=1)
+    columns = [data[keep, v] for v in nodes]
+    value = reference_nu_hat(
+        columns,
+        arities[u],
+        tuple(arities[v] for v in group),
+        tuple(arities[v] for v in cond),
+    )
+    return value, int(keep.sum())
+
+
+def random_triple(rng, n, r, max_cond):
+    nodes = [int(v) for v in rng.permutation(n)]
+    size_i = int(rng.integers(1, r))
+    size_s = int(rng.integers(0, max_cond + 1))
+    return nodes[0], tuple(nodes[1 : 1 + size_i]), tuple(nodes[1 + size_i : 1 + size_i + size_s])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("r", [2, 3])
+def test_count_table_matches_block_loop_reference(k, r):
+    n = 7
+    model = canonicalize(random_raw_model(n, r, k, seed=300 + 10 * k + r))
+    samples = sample_exact(exact_joint(model), 3000, seed=k + r)
+    erased = erase(samples, 0.8, seed=k * r)
+    emp, emp_erased = EmpiricalDistribution(samples), EmpiricalDistribution(erased)
+    rng = np.random.default_rng(k * 10 + r)
+    for _ in range(25):
+        u, group, cond = random_triple(rng, n, r, 4)
+        want, _ = reference_complete_case(samples.data, model.arities, u, group, cond)
+        assert abs(nu_hat(emp, u, group, cond) - want) <= 1e-12
+        oracle = QueryOracle.from_samples(samples, capacity=n)
+        got = nu_hat_queried(oracle, u, group, cond, samples.m, model.arities)
+        assert abs(got - want) <= 1e-12
+        want, usable = reference_complete_case(erased.data, model.arities, u, group, cond)
+        got, got_usable = nu_hat_erased(emp_erased, u, group, cond)
+        assert got_usable == usable
+        assert abs(got - want) <= 1e-12
+
+
+def test_count_table_relabels_conditioning_sets_larger_than_the_sample():
+    rng = np.random.default_rng(5)
+    arities = (3,) * 9
+    data = rng.integers(3, size=(40, 9))
+    data[rng.random(data.shape) < 0.1] = ERASED
+    emp = EmpiricalDistribution(SampleSet(data, arities))
+    u, group, cond = 0, (1, 2), (3, 4, 5, 6, 7, 8)
+    assert 3 ** len(cond) > emp.m  # the S axis is relabelled, not mixed-radix coded
+    want, usable = reference_complete_case(data, arities, u, group, cond)
+    assert usable > 0
+    got, got_usable = nu_hat_erased(emp, u, group, cond)
+    assert got_usable == usable
+    assert abs(got - want) <= 1e-12
+
+
+def reference_exact_nu(joint, u, group, cond):
+    """exact_nu as written before it was routed through nu_from_marginals."""
+    table = marginal(joint, (u,) + group + cond)
+    i_axes = tuple(range(1, 1 + len(group)))
+    p_s = table.sum(axis=(0,) + i_axes, keepdims=True)
+    p_us = table.sum(axis=i_axes, keepdims=True)
+    p_is = table.sum(axis=(0,), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(table / p_s - (p_us / p_s) * (p_is / p_s))
+        weighted = np.where(p_s > 0.0, p_s * dev, 0.0)
+    n_outer = weighted.shape[0] * math.prod(weighted.shape[1 : 1 + len(group)])
+    return float(weighted.sum()) / n_outer
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("r", [2, 3])
+def test_exact_nu_matches_reference_formula(k, r):
+    n = 6
+    joint = exact_joint(canonicalize(random_raw_model(n, r, k, seed=400 + 10 * k + r)))
+    rng = np.random.default_rng(k + 10 * r)
+    for _ in range(25):
+        u, group, cond = random_triple(rng, n, r, 3)
+        want = reference_exact_nu(joint, u, group, cond)
+        assert abs(exact_nu(joint, u, group, cond) - want) <= 1e-12
 
 
 # ---------------------------------------------------------------- bounded queries

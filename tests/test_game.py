@@ -125,8 +125,32 @@ def test_payoff_ising_frozen_value(ising_pair):
     assert expected_payoff_exact(ising_pair, 0) == pytest.approx(ISING_PAYOFF, abs=1e-12)
 
 
+def loop_wager(model, u, state, revealed, revealed_states):
+    """Bob's wager one configuration at a time: each clique potential on u
+    whose other members are all revealed, weighted C(d_u, s) / C(d_u - l, s - l)."""
+    d_u = clique_graph(model).degrees[u]
+    s = len(revealed)
+    lookup = dict(zip(revealed, revealed_states))
+
+    def phi(b):
+        total = 0.0
+        for verts in model.incident(u):
+            others = [v for v in verts if v != u]
+            if not set(others) <= set(revealed):
+                continue
+            ell = len(others)
+            coeff = math.comb(d_u, s) / math.comb(d_u - ell, s - ell)
+            idx = tuple(b if v == u else int(lookup[v]) for v in verts)
+            total += coeff * float(model.potentials[verts].values[idx])
+        return total
+
+    phis = [phi(b) for b in range(model.arities[u])]
+    return 2.0 * phis[state] - sum(phis)
+
+
 def brute_payoff(model, u):
-    """Independent oracle: full enumeration over (X, X', R, I)."""
+    """Independent oracle: full enumeration over (X, X', R, I), with the
+    wager computed one configuration at a time."""
     joint = exact_joint(model)
     graph = clique_graph(model)
     nbrs = sorted(graph.neighbors[u])
@@ -139,7 +163,7 @@ def brute_payoff(model, u):
             p = joint.probs[x] * joint.probs[x_prime]
             for challenge in range(model.arities[u]):
                 for revealed in subsets:
-                    wager = bob_wager(
+                    wager = loop_wager(
                         model, u, challenge, revealed, tuple(x[v] for v in revealed)
                     )
                     payoff = wager * (
@@ -150,10 +174,11 @@ def brute_payoff(model, u):
 
 
 def test_payoff_matches_brute_force_enumeration(chain3):
-    for u in range(3):
-        assert expected_payoff_exact(chain3, u) == pytest.approx(
-            brute_payoff(chain3, u), abs=1e-12
-        )
+    for model in [chain3] + small_models(1, n=4, r=3, seed0=70):
+        for u in range(model.n):
+            assert expected_payoff_exact(model, u) == pytest.approx(
+                brute_payoff(model, u), abs=1e-12
+            )
 
 
 def test_payoff_meets_lower_bound_on_generated_models():
