@@ -34,7 +34,9 @@ from .estimation import (
     QueryOracle,
     nu_hat,
     nu_hat_erased,
+    nu_hat_erased_sweep,
     nu_hat_queried,
+    nu_hat_sweep,
     required_samples_full,
     required_samples_erased,
     log10_required_samples_full,

@@ -6,17 +6,24 @@ nu-hat measures, from samples, how far the joint conditional law of
     nu_hat = mean over states (R, G) of the empirically weighted sum over
     observed x_S of |Phat(u=R, I=G | x_S) - Phat(u=R | x_S) Phat(I=G | x_S)|
 
-Every estimator builds one integer count table over (u, I..., S) and
-hands it to ``nu_from_marginals``; the count-weighted sum is divided by
-the number of usable rows once at the end.  Conditioning configurations
-never observed contribute zero.
+Samples are read as compact "extended alphabet" columns: node v's states
+0..k_v - 1 plus one extra state k_v for an erased cell.  One kernel,
+``_count_tables``, serves every estimator: for a fixed (u, S) it labels
+each row once by its conditioning configuration (rows erasing a member
+of S get one extra "dropped" label), then, per probe set I, adds the
+digits of I and u and counts the rows with one bincount.  Slicing off
+the erased state of the I and u axes and the dropped label leaves the
+complete-case (u, I..., S) count table, which ``nu_from_marginals``
+reduces; the count-weighted sum is divided by the number of counted rows
+once at the end.  Conditioning configurations never observed contribute
+zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,16 +41,26 @@ class QueryCapacityError(ValueError):
 
 @dataclass
 class EmpiricalDistribution:
-    """Read-only view of a sample set with exact event counting.
+    """Read-only view of a sample set as extended-alphabet columns.
 
-    Columns are stored contiguously so that repeated nu-hat evaluations
-    cost the same regardless of how many nodes the sample matrix has.
+    Column v holds each row's state of node v, and k_v where the cell is
+    erased, in the smallest unsigned dtype that holds every k_v.  The
+    columns are filled one at a time, so no m-by-n temporary is made, and
+    each is contiguous, so an evaluation costs the same however many
+    nodes the sample has.
     """
 
     samples: SampleSet
 
     def __post_init__(self):
-        self._columns = np.ascontiguousarray(self.samples.data.T)
+        data, arities = self.samples.data, self.samples.arities
+        # one block: separately allocated columns fragment the heap
+        self._columns = np.empty(
+            (len(arities), data.shape[0]), np.min_scalar_type(max(arities, default=0))
+        )
+        for v, k in enumerate(arities):
+            self._columns[v] = data[:, v]
+            self._columns[v][data[:, v] == ERASED] = k
 
     def column(self, v: int) -> np.ndarray:
         return self._columns[v]
@@ -57,53 +74,72 @@ class EmpiricalDistribution:
         return self.samples.arities
 
 
-def _count_table(
+def _count_tables(
     column: Callable[[int], np.ndarray],
     arities: tuple[int, ...],
     u: int,
-    group: tuple[int, ...],
+    groups: list[tuple[int, ...]],
     cond: tuple[int, ...],
-) -> tuple[np.ndarray, int]:
-    """Counts of (X_u, X_I, X_S) over the rows of `column(v)`, as a table
-    with axes (u, I..., S), and the number of rows dropped because they
-    erase a needed cell.
+) -> Iterator[np.ndarray]:
+    """Complete-case counts of (X_u, X_I, X_S), one table with axes
+    (u, I..., S) per probe set I in `groups`, all against one (u, S).
 
-    The S axis is the mixed-radix code of the conditioning columns or,
-    when S has more configurations than there are rows, the index of each
-    row's code among the distinct codes, so the table never exceeds
-    k_u * prod(k_I) * m cells.
+    `column(v)` is node v's extended column (k_v marks an erased cell).
+    The S label of a row is the mixed-radix code of its conditioning
+    states or, when S has more configurations than there are rows, the
+    index of that code among the distinct ones, so a table never exceeds
+    k_u * prod(k_I) * m cells; rows erasing a member of S get the extra
+    label n_S.  Each probe set then codes (S, I..., u) over the extended
+    alphabets of I and u, S most significant, and one bincount lays the
+    counts out as (S, I..., u); rows erasing u or a member of I land in
+    the erased state of that axis.
     """
-    m = column(u).size
-    block = arities[u] * math.prod(arities[v] for v in group)
+    groups = [_check_disjoint(u, group, cond)[0] for group in groups]
+    cond = tuple(int(v) for v in cond)
     n_s = math.prod(arities[v] for v in cond)
-    if block * n_s > 1 << 62:
-        raise ValueError("joint state space too large to code in 64 bits")
+    for group in groups:
+        if arities[u] * math.prod(arities[v] for v in group) * n_s > 1 << 62:
+            raise ValueError("joint state space too large to code in 64 bits")
+    col_u = column(u)
+    m = col_u.size
     dropped = np.zeros(m, dtype=bool)
-    for v in (u,) + group + cond:
-        dropped |= column(v) == ERASED
-    # S is the most significant digit and u the least, so one bincount
-    # lays the table out as (S, I..., u)
-    code = np.zeros(m, dtype=np.int64)
+    label = np.zeros(m, dtype=np.int64)
     for v in cond:
-        code = code * arities[v] + column(v)
+        col = column(v)
+        label = label * arities[v] + col
+        dropped |= col == arities[v]
+    label[dropped] = n_s
     if n_s > m:
-        labels, code = np.unique(code, return_inverse=True)
-        n_s = labels.size
-    for v in group + (u,):
-        code = code * arities[v] + column(v)
-    code[dropped] = block * n_s
-    counts = np.bincount(code, minlength=block * n_s + 1)
-    shape = (n_s,) + tuple(arities[v] for v in group) + (arities[u],)
-    return counts[:-1].reshape(shape).swapaxes(0, -1), int(counts[-1])
+        codes, label = np.unique(label, return_inverse=True)
+        n_s = codes.size - int(dropped.any())
+    k_u = arities[u] + 1
+    bases = {}  # S-and-u part of the code, by the size of one S slab
+    for group in groups:
+        k_group = tuple(arities[v] + 1 for v in group)
+        slab = math.prod(k_group) * k_u
+        if slab not in bases:
+            bases[slab] = label * slab + col_u
+        code = bases[slab]
+        stride = k_u
+        for v, k in zip(reversed(group), reversed(k_group)):
+            # an int64 stride keeps a compact column's product from wrapping
+            code = code + column(v) * np.int64(stride)
+            stride *= k
+        counts = np.bincount(code, minlength=(n_s + 1) * slab)
+        table = counts.reshape((n_s + 1,) + k_group + (k_u,))
+        complete = table[(slice(n_s),) + tuple(slice(k - 1) for k in k_group + (k_u,))]
+        yield complete.swapaxes(0, -1)
 
 
-def _nu_of_counts(table: np.ndarray, usable: int) -> float:
-    """nu-hat from a (u, I..., S) count table over `usable` rows."""
-    if usable == 0:
-        raise InsufficientCoverageError("no complete samples for this node set")
+def _nu_of_counts(table: np.ndarray) -> tuple[float, int]:
+    """nu-hat from a (u, I..., S) count table and the number of rows it
+    counts; (0.0, 0) when it counts none."""
     c_us = table.sum(axis=tuple(range(1, table.ndim - 1)))
-    c_is = table.sum(axis=0)
-    return nu_from_marginals(table, c_us, c_is, c_us.sum(axis=0)) / usable
+    c_s = c_us.sum(axis=0)
+    usable = int(c_s.sum())
+    if usable == 0:
+        return 0.0, 0
+    return nu_from_marginals(table, c_us, table.sum(axis=0), c_s) / usable, usable
 
 
 def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
@@ -118,15 +154,44 @@ def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
     return group, cond
 
 
+def nu_hat_sweep(
+    emp: EmpiricalDistribution,
+    u: int,
+    groups: list[tuple[int, ...]],
+    cond: tuple[int, ...] = (),
+) -> list[float]:
+    """nu_hat for every probe set in `groups` against one (u, S=cond)."""
+    values = []
+    for table in _count_tables(emp.column, emp.arities, u, groups, cond):
+        value, usable = _nu_of_counts(table)
+        if usable != emp.m:
+            raise ValueError("samples contain erasures; use nu_hat_erased")
+        if usable == 0:
+            raise InsufficientCoverageError("no complete samples for this node set")
+        values.append(value)
+    return values
+
+
 def nu_hat(
     emp: EmpiricalDistribution, u: int, group: tuple[int, ...], cond: tuple[int, ...] = ()
 ) -> float:
     """Estimate nu for (u, I=group | S=cond) from complete samples."""
-    group, cond = _check_disjoint(u, group, cond)
-    table, dropped = _count_table(emp.column, emp.arities, u, group, cond)
-    if dropped:
-        raise ValueError("samples contain erasures; use nu_hat_erased")
-    return _nu_of_counts(table, emp.m)
+    return nu_hat_sweep(emp, u, [group], cond)[0]
+
+
+def nu_hat_erased_sweep(
+    emp: EmpiricalDistribution,
+    u: int,
+    groups: list[tuple[int, ...]],
+    cond: tuple[int, ...] = (),
+) -> list[tuple[float, int]]:
+    """Complete-case nu-hat and usable-sample count for every probe set in
+    `groups` against one (u, S=cond); a probe set no sample reveals gets
+    (0.0, 0)."""
+    return [
+        _nu_of_counts(table)
+        for table in _count_tables(emp.column, emp.arities, u, groups, cond)
+    ]
 
 
 def nu_hat_erased(
@@ -136,14 +201,11 @@ def nu_hat_erased(
 
     Returns the estimate together with the number of usable samples.
     """
-    group, cond = _check_disjoint(u, group, cond)
-    table, dropped = _count_table(emp.column, emp.arities, u, group, cond)
-    usable = emp.m - dropped
+    value, usable = nu_hat_erased_sweep(emp, u, [group], cond)[0]
     if usable == 0:
-        raise InsufficientCoverageError(
-            f"no sample reveals all of nodes {sorted((u,) + group + cond)}"
-        )
-    return _nu_of_counts(table, usable), usable
+        nodes = sorted(int(v) for v in (u, *group, *cond))
+        raise InsufficientCoverageError(f"no sample reveals all of nodes {nodes}")
+    return value, usable
 
 
 @dataclass
@@ -206,9 +268,13 @@ def nu_hat_queried(
     group, cond = _check_disjoint(u, group, cond)
     nodes = tuple(sorted((u,) + group + cond))
     block = oracle.query(nodes, m_batch)
+    extended = np.where(block == ERASED, [arities[v] for v in nodes], block).T
     pos = {v: j for j, v in enumerate(nodes)}
-    table, dropped = _count_table(lambda v: block[:, pos[v]], arities, u, group, cond)
-    return _nu_of_counts(table, len(block) - dropped)
+    (table,) = _count_tables(lambda v: extended[pos[v]], arities, u, [group], cond)
+    value, usable = _nu_of_counts(table)
+    if usable == 0:
+        raise InsufficientCoverageError("no complete samples for this node set")
+    return value
 
 
 def _log_bracket(ell: float, omega: float, n: int, k_max: int, r: int) -> float:

@@ -340,7 +340,6 @@ def verify_mi_chain(
     floors = theoretical_constants(
         consts.gamma, consts.max_arity, alpha, model.r, consts.max_degree, consts.delta
     )
-    k_r = float(consts.max_arity**model.r)
     qualifying = _qualifying_nodes(model, alpha)
     records = []
     for u in range(model.n):
@@ -356,7 +355,9 @@ def verify_mi_chain(
             mi = exact_conditional_mi(joint, u, revealed, ())
             dev = float(np.abs(_covariance(joint, u, revealed)).sum()) / model.arities[u]
             links_ok &= math.sqrt(mi / 2.0) >= nu - 1e-12
-            links_ok &= nu >= dev / k_r - 1e-12
+            # for S empty, dev is exactly nu summed over I's configurations
+            k_revealed = math.prod(model.arities[v] for v in revealed)
+            links_ok &= abs(nu * k_revealed - dev) <= 1e-12
             nus.append(nu)
         mean_nu = float(np.mean(nus))
         ok = links_ok and (not qual or mean_nu >= floors.unconditional - 1e-12)

@@ -68,23 +68,78 @@ def samples_to_text(samples: SampleSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: a cell that is neither '?' nor a state of its column
+_INVALID = ERASED - 1
+
+
+class _StateTokens(dict):
+    """Cell text -> 0-based state for one column of arity k: '?' is ERASED,
+    an integer in 1..k is that state less one, and anything else is
+    _INVALID.  Valid tokens are remembered the first time they are seen."""
+
+    def __init__(self, k: int):
+        super().__init__({"?": ERASED})
+        self.k = k
+
+    def __missing__(self, token: str) -> int:
+        try:
+            state = int(token) - 1
+        except ValueError:
+            return _INVALID
+        if not 0 <= state < self.k:
+            return _INVALID
+        self[token] = state
+        return state
+
+
+def _header(line: str) -> tuple[int, tuple[int, ...], int]:
+    fields = {}
+    for part in line.split():
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"header field {part!r} is not key=value")
+        fields[key] = value
+    for key in ("n", "arities"):
+        if key not in fields:
+            raise ValueError(f"header has no {key}= field")
+    try:
+        n = int(fields["n"])
+        arities = tuple(int(k) for k in fields["arities"].split(","))
+        seed = int(fields.get("seed", "0"))
+    except ValueError:
+        raise ValueError(f"header fields must be integers: {line!r}") from None
+    if len(arities) != n:
+        raise ValueError("header arity count does not match n")
+    return n, arities, seed
+
+
 def samples_from_text(text: str) -> SampleSet:
+    """Parse a sample file; a header with no rows is an empty sample set.
+
+    Errors name the offending header field, or the row and column (both
+    counted from 1) of a malformed cell.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty sample file")
-    fields = dict(part.split("=", 1) for part in lines[0].split())
-    n = int(fields["n"])
-    arities = tuple(int(k) for k in fields["arities"].split(","))
-    seed = int(fields.get("seed", "0"))
-    if len(arities) != n:
-        raise ValueError("header arity count does not match n")
+    n, arities, seed = _header(lines[0])
+    tokens = [_StateTokens(k) for k in arities]
     rows = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], start=1):
         cells = line.split()
         if len(cells) != n:
-            raise ValueError(f"row has {len(cells)} cells, expected {n}")
-        rows.append([ERASED if c == "?" else int(c) - 1 for c in cells])
-    return SampleSet(np.array(rows, dtype=np.int64), arities, seed=seed)
+            raise ValueError(f"row {i} has {len(cells)} cells, expected {n}")
+        rows.append([states[c] for states, c in zip(tokens, cells)])
+    data = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    bad = np.argwhere(data == _INVALID)
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        cell = lines[i + 1].split()[j]
+        raise ValueError(
+            f"row {i + 1}, column {j + 1}: {cell!r} is not '?' "
+            f"or a state in 1..{arities[j]}"
+        )
+    return SampleSet(data, arities, seed=seed)
 
 
 def save_samples(samples: SampleSet, path: str | Path) -> None:

@@ -15,7 +15,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .estimation import (
     EmpiricalDistribution,
@@ -24,7 +24,9 @@ from .estimation import (
     QueryOracle,
     nu_hat,
     nu_hat_erased,
+    nu_hat_erased_sweep,
     nu_hat_queried,
+    nu_hat_sweep,
 )
 from .inference import JointTable, exact_nu
 from .model import MarkovRandomField, compute_gamma_delta
@@ -181,6 +183,9 @@ class ExactNuEstimator:
         audit_log.debug("nu u=%d I=%s S=%s value=%.6g m=exact", u, group, cond, value)
         return value
 
+    def sweep(self, u, groups, cond):
+        return [self(u, group, cond) for group in groups]
+
 
 class SampleNuEstimator:
     """nu provider over a complete sample set."""
@@ -190,8 +195,14 @@ class SampleNuEstimator:
         self.evaluations = 0
 
     def __call__(self, u, group, cond):
+        return self._record(u, group, cond, nu_hat(self.dist, u, group, cond))
+
+    def sweep(self, u, groups, cond):
+        values = nu_hat_sweep(self.dist, u, groups, cond)
+        return [self._record(u, g, cond, value) for g, value in zip(groups, values)]
+
+    def _record(self, u, group, cond, value):
         self.evaluations += 1
-        value = nu_hat(self.dist, u, group, cond)
         audit_log.debug(
             "nu u=%d I=%s S=%s value=%.6g m=%d", u, group, cond, value, self.dist.m
         )
@@ -209,10 +220,19 @@ class ErasedNuEstimator:
         self.coverage_events: list[tuple[int, tuple, tuple, int]] = []
 
     def __call__(self, u, group, cond):
-        self.evaluations += 1
         try:
             value, eff = nu_hat_erased(self.dist, u, group, cond)
         except InsufficientCoverageError:
+            value, eff = 0.0, 0
+        return self._record(u, group, cond, value, eff)
+
+    def sweep(self, u, groups, cond):
+        results = nu_hat_erased_sweep(self.dist, u, groups, cond)
+        return [self._record(u, g, cond, *result) for g, result in zip(groups, results)]
+
+    def _record(self, u, group, cond, value, eff):
+        self.evaluations += 1
+        if eff == 0:
             self.coverage_events.append((u, tuple(group), tuple(cond), 0))
             audit_log.debug("nu u=%d I=%s S=%s value=0 m=0 (no coverage)", u, group, cond)
             return 0.0
@@ -250,6 +270,10 @@ class QueriedNuEstimator:
         )
         return value
 
+    def sweep(self, u, groups, cond):
+        # one fresh batch per evaluation: the query accounting counts them
+        return [self(u, group, cond) for group in groups]
+
 
 def _candidate_sets(n: int, excluded: set[int], max_size: int):
     pool = [v for v in range(n) if v not in excluded]
@@ -258,7 +282,9 @@ def _candidate_sets(n: int, excluded: set[int], max_size: int):
 
 
 def mrf_nbhd(
-    estimator: Callable[[int, tuple, tuple], float],
+    estimator: (
+        ExactNuEstimator | SampleNuEstimator | ErasedNuEstimator | QueriedNuEstimator
+    ),
     u: int,
     n_nodes: int,
     config: LearnConfig,
@@ -267,23 +293,24 @@ def mrf_nbhd(
 
     Growth step: while |S| <= budget and some candidate set I of at most
     r-1 fresh nodes has nu_hat(u, I | S) > tau, merge the maximiser
-    (ties broken lexicographically).  Pruning step: against the grown S,
-    drop each i with nu_hat(u, i | S without i) < tau; with prune_sets,
+    (ties broken lexicographically); one estimator sweep scores a round's
+    candidates against the current S.  Pruning step: against the grown
+    S, drop each i with nu_hat(u, i | S without i) < tau; with prune_sets,
     i survives if any subset of S containing it clears tau instead.
     """
     tau = config.tau
     budget = config.budget
     result = NeighborhoodResult(node=u, neighbors=())
     grown: list[int] = []
-    start_evals = getattr(estimator, "evaluations", 0)
+    start_evals = estimator.evaluations
     exhausted = False
     while True:
         if len(grown) > budget:
             exhausted = True
             break
         best_set, best_value = None, -math.inf
-        for cand in _candidate_sets(n_nodes, {u, *grown}, config.r - 1):
-            value = estimator(u, cand, tuple(grown))
+        cands = list(_candidate_sets(n_nodes, {u, *grown}, config.r - 1))
+        for cand, value in zip(cands, estimator.sweep(u, cands, tuple(grown))):
             if value > tau and (
                 value > best_value
                 or (value == best_value and (best_set is None or cand < best_set))
@@ -323,7 +350,7 @@ def mrf_nbhd(
         else:
             result.trace.append(("prune", (i,), value))
     result.neighbors = tuple(survivors)
-    result.evaluations = getattr(estimator, "evaluations", 0) - start_evals
+    result.evaluations = estimator.evaluations - start_evals
     return result
 
 
@@ -344,7 +371,9 @@ def _assemble(per_node: dict[int, NeighborhoodResult]) -> GraphResult:
 
 
 def learn_graph(
-    estimator: Callable[[int, tuple, tuple], float],
+    estimator: (
+        ExactNuEstimator | SampleNuEstimator | ErasedNuEstimator | QueriedNuEstimator
+    ),
     n_nodes: int,
     config: LearnConfig,
 ) -> GraphResult:

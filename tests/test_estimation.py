@@ -23,12 +23,15 @@ from mrflearn import (
     nu_from_marginals,
     nu_hat,
     nu_hat_erased,
+    nu_hat_erased_sweep,
     nu_hat_queried,
+    nu_hat_sweep,
     required_samples_erased,
     required_samples_full,
     sample_exact,
 )
 from mrflearn.generate import random_raw_model
+from mrflearn.learner import ErasedNuEstimator
 
 from conftest import ising_tensor
 
@@ -135,6 +138,14 @@ def test_nu_hat_erased_no_coverage():
         nu_hat(empty, 0, (1,), (2,))
     with pytest.raises(InsufficientCoverageError, match="no sample reveals"):
         nu_hat_erased(empty, 0, (1,), (2,))
+    # through a sweep: the same errors, and zero coverage where the single
+    # call raises InsufficientCoverageError
+    with pytest.raises(InsufficientCoverageError, match="no complete samples"):
+        nu_hat_sweep(empty, 0, [(1,), (2,)])
+    assert nu_hat_erased_sweep(empty, 0, [(1,), (2,)]) == [(0.0, 0), (0.0, 0)]
+    with pytest.raises(ValueError, match="use nu_hat_erased"):
+        nu_hat_sweep(emp, 0, [(1,)])
+    assert nu_hat_erased_sweep(emp, 0, [(1,)]) == [(0.0, 0)]
 
 
 def test_nu_hat_erased_effective_sample_count():
@@ -225,6 +236,82 @@ def test_count_table_matches_block_loop_reference(k, r):
         assert abs(got - want) <= 1e-12
 
 
+def random_sweep(rng, n, r, max_cond):
+    """A random (u, S) and every probe set of fewer than r of the other nodes."""
+    nodes = [int(v) for v in rng.permutation(n)]
+    size_s = int(rng.integers(0, max_cond + 1))
+    u, cond, pool = nodes[0], tuple(nodes[1 : 1 + size_s]), nodes[1 + size_s :]
+    groups = [g for size in range(1, r) for g in itertools.combinations(pool, size)]
+    return u, groups, cond
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("r", [2, 3])
+def test_sweep_matches_single_calls_and_reference(k, r):
+    n = 7
+    model = canonicalize(random_raw_model(n, r, k, seed=500 + 10 * k + r))
+    samples = sample_exact(exact_joint(model), 3000, seed=k * r)
+    erased = erase(samples, 0.8, seed=k + r)
+    emp, emp_erased = EmpiricalDistribution(samples), EmpiricalDistribution(erased)
+    rng = np.random.default_rng(k * 100 + r)
+    for _ in range(8):
+        u, groups, cond = random_sweep(rng, n, r, 4)
+        values = nu_hat_sweep(emp, u, groups, cond)
+        erased_values = nu_hat_erased_sweep(emp_erased, u, groups, cond)
+        assert len(values) == len(erased_values) == len(groups)
+        for group, value, (got, usable) in zip(groups, values, erased_values):
+            want, _ = reference_complete_case(samples.data, model.arities, u, group, cond)
+            assert abs(value - want) <= 1e-12
+            assert abs(value - nu_hat(emp, u, group, cond)) <= 1e-12
+            want, want_usable = reference_complete_case(
+                erased.data, model.arities, u, group, cond
+            )
+            assert usable == want_usable
+            assert abs(got - want) <= 1e-12
+            single, single_usable = nu_hat_erased(emp_erased, u, group, cond)
+            assert usable == single_usable
+            assert abs(got - single) <= 1e-12
+
+
+def test_erased_estimator_sweep_matches_single_calls():
+    rng = np.random.default_rng(9)
+    data = rng.integers(2, size=(400, 6))
+    data[rng.random(data.shape) < 0.3] = ERASED
+    data[:, 3] = ERASED  # a node no sample reveals
+    emp = EmpiricalDistribution(SampleSet(data, (2,) * 6))
+    groups = [(1,), (2,), (3,), (1, 2), (2, 3), (5,)]
+    usable = [nu_hat_erased_sweep(emp, 0, [g], (4,))[0][1] for g in groups]
+    floor = sorted(set(usable))[-2] + 1  # some estimates clear the floor, some do not
+    swept, single = ErasedNuEstimator(emp, floor), ErasedNuEstimator(emp, floor)
+    values = swept.sweep(0, groups, (4,))
+    assert values == [single(0, g, (4,)) for g in groups]
+    assert swept.evaluations == single.evaluations == len(groups)
+    assert swept.coverage_events == single.coverage_events
+    effective = [eff for *_, eff in swept.coverage_events]
+    assert 0 in effective and any(0 < eff < floor for eff in effective)
+    assert any(value > 0 for value in values)
+
+
+@pytest.mark.parametrize(
+    "arities, dtype",
+    # a state times the stride of node 1 in (1, 3) overflows the column dtype
+    [((3, 250, 4, 5, 2), np.uint8), ((3, 250, 4, 300, 2), np.uint16)],
+)
+def test_sweep_on_wide_columns(arities, dtype):
+    rng = np.random.default_rng(3)
+    data = np.stack([rng.integers(k, size=6000) for k in arities], axis=1)
+    data[rng.random(data.shape) < 0.1] = ERASED
+    emp = EmpiricalDistribution(SampleSet(data, arities))
+    assert emp.column(1).dtype == dtype
+    groups = [(1,), (3,), (1, 3), (3, 1), (2, 1)]
+    for cond in [(), (4,), (2, 4)]:
+        pool = [g for g in groups if not set(g) & set(cond)]
+        for group, (got, usable) in zip(pool, nu_hat_erased_sweep(emp, 0, pool, cond)):
+            want, want_usable = reference_complete_case(data, arities, 0, group, cond)
+            assert usable == want_usable > 0
+            assert abs(got - want) <= 1e-12
+
+
 def test_count_table_relabels_conditioning_sets_larger_than_the_sample():
     rng = np.random.default_rng(5)
     arities = (3,) * 9
@@ -238,6 +325,11 @@ def test_count_table_relabels_conditioning_sets_larger_than_the_sample():
     got, got_usable = nu_hat_erased(emp, u, group, cond)
     assert got_usable == usable
     assert abs(got - want) <= 1e-12
+    groups = [(1, 2), (1,), (2,), (2, 1)]
+    for group, (got, got_usable) in zip(groups, nu_hat_erased_sweep(emp, u, groups, cond)):
+        want, usable = reference_complete_case(data, arities, u, group, cond)
+        assert got_usable == usable
+        assert abs(got - want) <= 1e-12
 
 
 def reference_exact_nu(joint, u, group, cond):

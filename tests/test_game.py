@@ -261,6 +261,16 @@ def test_mi_chain_links_hold():
             assert record["ok"], record
 
 
+def test_mi_chain_link_check_catches_a_wrong_nu(monkeypatch):
+    import mrflearn.game as game
+
+    exact = game.exact_nu
+    monkeypatch.setattr(game, "exact_nu", lambda *args: 1.01 * exact(*args))
+    records = verify_mi_chain(small_models(1, n=5, r=2, seed0=11)[0], 0.3)
+    assert records
+    assert not any(record["links_ok"] for record in records)
+
+
 # ---------------------------------------------------------------- variance structure
 
 

@@ -67,6 +67,37 @@ def test_samples_reject_malformed_header():
         samples_from_text(load_header)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=2 arities=2,2 seed=0\n1 2\n2 0\n", r"row 2, column 2: '0' is not '\?' or a state in 1\.\.2"),
+        ("n=2 arities=2,3\n3 1\n", r"row 1, column 1: '3' is not '\?' or a state in 1\.\.2"),
+        ("n=2 arities=2,2\n1 x\n", r"row 1, column 2: 'x'"),
+        ("arities=2,2 seed=0\n1 1\n", "header has no n= field"),
+        ("n=2 arities=2,2 seed\n1 1\n", "header field 'seed' is not key=value"),
+        ("n=2 arities=2,two\n1 1\n", "header fields must be integers"),
+        ("n=2 arities=2,2\n1 1\n1\n", "row 2 has 1 cells, expected 2"),
+    ],
+    ids=["zero-state", "state-above-arity", "non-integer", "no-n", "no-equals", "bad-int", "short-row"],
+)
+def test_samples_reject_malformed_files(text, message):
+    from mrflearn.io import samples_from_text
+
+    with pytest.raises(ValueError, match=message):
+        samples_from_text(text)
+
+
+def test_samples_header_only_is_an_empty_sample_set():
+    from mrflearn.io import samples_from_text, samples_to_text
+
+    empty = SampleSet(np.zeros((0, 3), dtype=np.int64), (2, 3, 2), seed=5)
+    text = samples_to_text(empty)
+    assert text == "n=3 arities=2,3,2 seed=5\n"
+    back = samples_from_text(text)
+    assert back.data.shape == (0, 3)
+    assert back.arities == empty.arities and back.seed == 5
+
+
 def test_joint_table_roundtrip():
     model = generate_model(GeneratorSpec(n=4, seed=6))
     joint = exact_joint(model)
