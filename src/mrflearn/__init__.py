@@ -54,7 +54,7 @@ from .learner import (
     learn_graph_erased,
     learn_graph_queried,
     learn_graph_exact,
-    ExactNuEstimator,
+    NuEstimator,
 )
 from .game import (
     GameRound,

@@ -8,7 +8,6 @@ code is 0 iff all checks the command ran have passed.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -39,6 +38,15 @@ def _emit(payload: dict, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         click.echo(text)
+
+
+def _load_rows(path: str) -> SampleSet:
+    """Load a sample file, rejecting one with no rows: nothing can be
+    erased or learned from it."""
+    samples = io.load_samples(path)
+    if samples.m == 0:
+        raise click.UsageError(f"sample file {path} holds no rows")
+    return samples
 
 
 @click.group()
@@ -102,7 +110,7 @@ def cmd_sample(model_path, m, seed, sampler, burn_in, thinning, out):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_erase(samples_path, reveal_prob, seed, out):
     """Pass samples through the erasure channel."""
-    samples = io.load_samples(samples_path)
+    samples = _load_rows(samples_path)
     erased = erase_cells(samples, reveal_prob, seed)
     io.save_samples(erased, out)
     observed = float((erased.data >= 0).mean())
@@ -130,15 +138,16 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, beta, m, m_
               seed, prune_sets, coverage_floor, out):
     """Run the structure learner and emit per-node records plus a summary."""
     truth_model = io.load_model(model_path) if model_path else None
+    config = None
+    if truth_model is not None:
+        config = LearnConfig.from_model(
+            truth_model, alpha, beta, override_tau=tau, override_L=budget,
+            prune_sets=prune_sets, coverage_floor=coverage_floor,
+        )
     if mode == "queried":
         if truth_model is None:
             raise click.UsageError("queried mode samples fresh data and needs --model")
-        config = LearnConfig.from_model(
-            truth_model, alpha, beta, mode=mode, override_tau=tau, override_L=budget,
-            prune_sets=prune_sets, coverage_floor=coverage_floor,
-        )
-        capacity = math.floor(config.budget) + config.r
-        oracle = QueryOracle.from_joint(exact_joint(truth_model), capacity, seed)
+        oracle = QueryOracle.from_joint(exact_joint(truth_model), config.query_capacity, seed)
         result = learn_graph_queried(
             oracle, truth_model.n, truth_model.arities, config, m_batch
         )
@@ -146,22 +155,17 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, beta, m, m_
     else:
         if samples_path is None:
             raise click.UsageError(f"{mode} mode needs --samples")
-        samples = io.load_samples(samples_path)
+        samples = _load_rows(samples_path)
         if m is not None:
             if not 1 <= m <= samples.m:
                 raise click.UsageError(f"--m must lie in 1..{samples.m}")
             samples = SampleSet(samples.data[:m], samples.arities, samples.seed)
         n_nodes = samples.n
-        if truth_model is not None:
-            config = LearnConfig.from_model(
-                truth_model, alpha, beta, mode=mode, override_tau=tau,
-                override_L=budget, prune_sets=prune_sets, coverage_floor=coverage_floor,
-            )
-        else:
+        if config is None:
             config = LearnConfig(
                 r=r, max_degree=max(n_nodes - 1, 1), max_arity=max(samples.arities),
                 alpha=alpha, beta=beta, gamma=0.0, delta=1.0 / max(samples.arities),
-                mode=mode, override_tau=tau, override_L=budget,
+                override_tau=tau, override_L=budget,
                 prune_sets=prune_sets, coverage_floor=coverage_floor,
             )
         if mode == "full":
@@ -290,7 +294,7 @@ def cmd_run_experiment(n, r, max_degree, max_arity, alpha, beta, density, trials
     )
     config = LearnConfig(
         r=r, max_degree=max_degree, max_arity=max_arity, alpha=alpha, beta=beta,
-        gamma=0.0, delta=0.0, mode=mode, override_tau=tau, override_L=budget,
+        gamma=0.0, delta=0.0, override_tau=tau, override_L=budget,
     )
     report = run_experiment(spec, config, trials, mode, m, seed, reveal_prob)
     _emit(report.to_json_dict(), out)

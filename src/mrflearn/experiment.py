@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -144,8 +143,7 @@ def run_trial(
         samples = erase(sample_exact(joint, m, sample_seed), reveal_prob, erase_seed)
         result = learn_graph_erased(samples, config)
     elif mode == "queried":
-        capacity = math.floor(config.budget) + config.r
-        oracle = QueryOracle.from_joint(joint, capacity, sample_seed)
+        oracle = QueryOracle.from_joint(joint, config.query_capacity, sample_seed)
         result = learn_graph_queried(oracle, model.n, model.arities, config, m)
     else:
         raise ValueError(f"unknown mode {mode!r}")

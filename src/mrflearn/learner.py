@@ -7,6 +7,11 @@ is merged into S.  A pruning pass then drops every member whose
 singleton coupling against the rest of S falls below tau.  Edges of the
 recovered graph require mutual inclusion of the two endpoint
 neighborhoods; one-sided detections are surfaced as warnings.
+
+The four modes (exact, full, erased, queried) run the same learner and
+differ only in how nu(u, I | S) is obtained: each supplies a kernel to
+the one ``NuEstimator``, which counts, audits and enforces the erased
+mode's coverage floor.
 """
 
 from __future__ import annotations
@@ -15,15 +20,14 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .estimation import (
     EmpiricalDistribution,
-    InsufficientCoverageError,
     QueryCapacityError,
     QueryOracle,
-    nu_hat,
-    nu_hat_erased,
+    nu_hat,  # unused here; kept so perfbench/run.py --trace 1 can patch it
+    nu_hat_erased,  # unused here, for the same reason
     nu_hat_erased_sweep,
     nu_hat_queried,
     nu_hat_sweep,
@@ -85,7 +89,6 @@ class LearnConfig:
     gamma: float
     delta: float
     omega: float = 0.05
-    mode: str = "full"
     override_tau: Optional[float] = None
     override_L: Optional[float] = None
     prune_sets: bool = False
@@ -122,6 +125,12 @@ class LearnConfig:
         if self.override_L is not None:
             return self.override_L
         return (8.0 / self.tau**2) * math.log(self.max_arity)
+
+    @property
+    def query_capacity(self) -> int:
+        """Nodes one bounded query must observe: u, a probe set of up to
+        r - 1 nodes and a conditioning set of up to floor(budget) nodes."""
+        return math.floor(self.budget) + self.r
 
     def theoretical_tau(self) -> float:
         return self.floors().conditioned / 2.0
@@ -170,79 +179,77 @@ class GraphResult:
         }
 
 
-class ExactNuEstimator:
-    """nu provider backed by exact inference; the learner's ground-truth mode."""
+@dataclass
+class NuEstimator:
+    """The learner's one nu provider: ``estimator(u, groups, cond)`` returns
+    nu(u, I | S=cond) for every probe set I in ``groups``.
 
-    def __init__(self, joint: JointTable):
-        self.joint = joint
-        self.evaluations = 0
+    Its kernel, ``kernel(u, groups, cond) -> [(value, rows), ...]``, does
+    the estimation; ``rows`` is the sample count behind a value, or the
+    label ``"exact"``.  The estimator counts evaluations, writes one
+    ``mrflearn.estimator`` audit line per evaluation, and forces to zero
+    each value with no rows or with fewer than ``coverage_floor``,
+    recording it in ``coverage_events`` for the learner to surface.
+    """
 
-    def __call__(self, u: int, group: tuple[int, ...], cond: tuple[int, ...]) -> float:
-        self.evaluations += 1
-        value = exact_nu(self.joint, u, group, cond)
-        audit_log.debug("nu u=%d I=%s S=%s value=%.6g m=exact", u, group, cond, value)
-        return value
+    kernel: Callable[[int, list, tuple], list[tuple[float, int | str]]]
+    coverage_floor: int = 0
+    evaluations: int = 0
+    coverage_events: list[tuple[int, tuple, tuple, int]] = field(default_factory=list)
 
-    def sweep(self, u, groups, cond):
-        return [self(u, group, cond) for group in groups]
+    # The kernels look the estimation functions up as module globals at
+    # call time, so that a caller can wrap them in this module.
 
+    @classmethod
+    def exact(cls, joint: JointTable) -> "NuEstimator":
+        """Exact inference; the learner's ground-truth mode."""
+        return cls(lambda u, groups, cond: [
+            (exact_nu(joint, u, group, cond), "exact") for group in groups
+        ])
 
-class SampleNuEstimator:
-    """nu provider over a complete sample set."""
+    @classmethod
+    def full(cls, dist: EmpiricalDistribution) -> "NuEstimator":
+        """A complete sample set, one sweep per call."""
+        return cls(lambda u, groups, cond: [
+            (value, dist.m) for value in nu_hat_sweep(dist, u, groups, cond)
+        ])
 
-    def __init__(self, dist: EmpiricalDistribution):
-        self.dist = dist
-        self.evaluations = 0
-
-    def __call__(self, u, group, cond):
-        return self._record(u, group, cond, nu_hat(self.dist, u, group, cond))
-
-    def sweep(self, u, groups, cond):
-        values = nu_hat_sweep(self.dist, u, groups, cond)
-        return [self._record(u, g, cond, value) for g, value in zip(groups, values)]
-
-    def _record(self, u, group, cond, value):
-        self.evaluations += 1
-        audit_log.debug(
-            "nu u=%d I=%s S=%s value=%.6g m=%d", u, group, cond, value, self.dist.m
+    @classmethod
+    def erased(cls, dist: EmpiricalDistribution, coverage_floor: int) -> "NuEstimator":
+        """Complete-case estimates over samples with erasures."""
+        return cls(
+            lambda u, groups, cond: nu_hat_erased_sweep(dist, u, groups, cond),
+            coverage_floor,
         )
-        return value
 
+    @classmethod
+    def queried(
+        cls, oracle: QueryOracle, arities: tuple[int, ...], m_batch: int
+    ) -> "NuEstimator":
+        """Bounded queries; one fresh batch per evaluation, as the query
+        accounting counts them."""
+        return cls(lambda u, groups, cond: [
+            (nu_hat_queried(oracle, u, group, cond, m_batch, arities), m_batch)
+            for group in groups
+        ])
 
-class ErasedNuEstimator:
-    """Complete-case nu provider; evaluations without enough coverage are
-    forced to zero and recorded so the learner can surface them."""
-
-    def __init__(self, dist: EmpiricalDistribution, coverage_floor: int):
-        self.dist = dist
-        self.coverage_floor = coverage_floor
-        self.evaluations = 0
-        self.coverage_events: list[tuple[int, tuple, tuple, int]] = []
-
-    def __call__(self, u, group, cond):
-        try:
-            value, eff = nu_hat_erased(self.dist, u, group, cond)
-        except InsufficientCoverageError:
-            value, eff = 0.0, 0
-        return self._record(u, group, cond, value, eff)
-
-    def sweep(self, u, groups, cond):
-        results = nu_hat_erased_sweep(self.dist, u, groups, cond)
-        return [self._record(u, g, cond, *result) for g, result in zip(groups, results)]
-
-    def _record(self, u, group, cond, value, eff):
-        self.evaluations += 1
-        if eff == 0:
-            self.coverage_events.append((u, tuple(group), tuple(cond), 0))
-            audit_log.debug("nu u=%d I=%s S=%s value=0 m=0 (no coverage)", u, group, cond)
-            return 0.0
-        audit_log.debug(
-            "nu u=%d I=%s S=%s value=%.6g m=%d", u, group, cond, value, eff
-        )
-        if eff < self.coverage_floor:
-            self.coverage_events.append((u, tuple(group), tuple(cond), eff))
-            return 0.0
-        return value
+    def __call__(
+        self, u: int, groups: list[tuple[int, ...]], cond: tuple[int, ...]
+    ) -> list[float]:
+        values = []
+        for group, (value, rows) in zip(groups, self.kernel(u, groups, cond)):
+            self.evaluations += 1
+            if rows == 0:
+                audit_log.debug("nu u=%d I=%s S=%s value=0 m=0 (no coverage)", u, group, cond)
+            else:
+                audit_log.debug(
+                    "nu u=%d I=%s S=%s value=%.6g m=%s", u, group, cond, value, rows
+                )
+            if rows == 0 or (self.coverage_floor and rows < self.coverage_floor):
+                self.coverage_events.append((u, tuple(group), tuple(cond), rows))
+                value = 0.0
+            values.append(value)
+        return values
 
     def drain_events(self) -> list[str]:
         out = [
@@ -253,28 +260,6 @@ class ErasedNuEstimator:
         return out
 
 
-class QueriedNuEstimator:
-    """nu provider that spends a fresh bounded-query batch per evaluation."""
-
-    def __init__(self, oracle: QueryOracle, arities: tuple[int, ...], m_batch: int):
-        self.oracle = oracle
-        self.arities = arities
-        self.m_batch = m_batch
-        self.evaluations = 0
-
-    def __call__(self, u, group, cond):
-        self.evaluations += 1
-        value = nu_hat_queried(self.oracle, u, group, cond, self.m_batch, self.arities)
-        audit_log.debug(
-            "nu u=%d I=%s S=%s value=%.6g m=%d", u, group, cond, value, self.m_batch
-        )
-        return value
-
-    def sweep(self, u, groups, cond):
-        # one fresh batch per evaluation: the query accounting counts them
-        return [self(u, group, cond) for group in groups]
-
-
 def _candidate_sets(n: int, excluded: set[int], max_size: int):
     pool = [v for v in range(n) if v not in excluded]
     for size in range(1, max_size + 1):
@@ -282,18 +267,13 @@ def _candidate_sets(n: int, excluded: set[int], max_size: int):
 
 
 def mrf_nbhd(
-    estimator: (
-        ExactNuEstimator | SampleNuEstimator | ErasedNuEstimator | QueriedNuEstimator
-    ),
-    u: int,
-    n_nodes: int,
-    config: LearnConfig,
+    estimator: NuEstimator, u: int, n_nodes: int, config: LearnConfig
 ) -> NeighborhoodResult:
     """Estimate the neighborhood of one node.
 
     Growth step: while |S| <= budget and some candidate set I of at most
     r-1 fresh nodes has nu_hat(u, I | S) > tau, merge the maximiser
-    (ties broken lexicographically); one estimator sweep scores a round's
+    (ties broken lexicographically); one estimator call scores a round's
     candidates against the current S.  Pruning step: against the grown
     S, drop each i with nu_hat(u, i | S without i) < tau; with prune_sets,
     i survives if any subset of S containing it clears tau instead.
@@ -310,7 +290,7 @@ def mrf_nbhd(
             break
         best_set, best_value = None, -math.inf
         cands = list(_candidate_sets(n_nodes, {u, *grown}, config.r - 1))
-        for cand, value in zip(cands, estimator.sweep(u, cands, tuple(grown))):
+        for cand, value in zip(cands, estimator(u, cands, tuple(grown))):
             if value > tau and (
                 value > best_value
                 or (value == best_value and (best_set is None or cand < best_set))
@@ -336,14 +316,14 @@ def mrf_nbhd(
                     if i not in cand:
                         continue
                     cond = tuple(v for v in grown if v not in cand)
-                    value = estimator(u, cand, cond)
+                    (value,) = estimator(u, [cand], cond)
                     if value >= tau:
                         kept = True
                         break
                 if kept:
                     break
         else:
-            value = estimator(u, (i,), rest)
+            (value,) = estimator(u, [(i,)], rest)
             kept = value >= tau
         if kept:
             survivors.append(i)
@@ -370,21 +350,19 @@ def _assemble(per_node: dict[int, NeighborhoodResult]) -> GraphResult:
     return GraphResult(edges=edges, per_node=per_node, warnings=warnings)
 
 
-def learn_graph(
-    estimator: (
-        ExactNuEstimator | SampleNuEstimator | ErasedNuEstimator | QueriedNuEstimator
-    ),
-    n_nodes: int,
-    config: LearnConfig,
-) -> GraphResult:
-    """Run the neighborhood learner at every node and assemble the graph."""
-    per_node = {u: mrf_nbhd(estimator, u, n_nodes, config) for u in range(n_nodes)}
+def learn_graph(estimator: NuEstimator, n_nodes: int, config: LearnConfig) -> GraphResult:
+    """Run the neighborhood learner at every node and assemble the graph;
+    a node's coverage events become its warnings."""
+    per_node = {}
+    for u in range(n_nodes):
+        per_node[u] = mrf_nbhd(estimator, u, n_nodes, config)
+        per_node[u].warnings.extend(estimator.drain_events())
     return _assemble(per_node)
 
 
 def learn_graph_full(samples: SampleSet, config: LearnConfig) -> GraphResult:
     """Learn from fully observed samples."""
-    estimator = SampleNuEstimator(EmpiricalDistribution(samples))
+    estimator = NuEstimator.full(EmpiricalDistribution(samples))
     result = learn_graph(estimator, samples.n, config)
     if samples.m < 2:
         result.warnings.append(
@@ -400,15 +378,8 @@ def learn_graph_full(samples: SampleSet, config: LearnConfig) -> GraphResult:
 
 def learn_graph_erased(samples: SampleSet, config: LearnConfig) -> GraphResult:
     """Learn from samples with erasures via complete-case estimation."""
-    estimator = ErasedNuEstimator(
-        EmpiricalDistribution(samples), config.coverage_floor
-    )
-    per_node = {}
-    for u in range(samples.n):
-        res = mrf_nbhd(estimator, u, samples.n, config)
-        res.warnings.extend(estimator.drain_events())
-        per_node[u] = res
-    result = _assemble(per_node)
+    estimator = NuEstimator.erased(EmpiricalDistribution(samples), config.coverage_floor)
+    result = learn_graph(estimator, samples.n, config)
     result.accounting = {
         "mode": "erased",
         "samples": samples.m,
@@ -430,12 +401,11 @@ def learn_graph_queried(
     one full probe set; total consumption is checked against the
     m_batch * L * r * n^r query budget.
     """
-    needed = math.floor(config.budget) + config.r
-    if oracle.capacity < needed:
+    if oracle.capacity < config.query_capacity:
         raise QueryCapacityError(
-            f"oracle capacity {oracle.capacity} is below the required {needed}"
+            f"oracle capacity {oracle.capacity} is below the required {config.query_capacity}"
         )
-    estimator = QueriedNuEstimator(oracle, arities, m_batch)
+    estimator = NuEstimator.queried(oracle, arities, m_batch)
     result = learn_graph(estimator, n_nodes, config)
     query_budget = m_batch * config.budget * config.r * n_nodes**config.r
     if oracle.consumed > query_budget:
@@ -456,7 +426,7 @@ def learn_graph_queried(
 
 def learn_graph_exact(joint: JointTable, config: LearnConfig) -> GraphResult:
     """Learn with the oracle-backed exact nu; for verification at desk scale."""
-    estimator = ExactNuEstimator(joint)
+    estimator = NuEstimator.exact(joint)
     result = learn_graph(estimator, joint.model.n, config)
     result.accounting = {"mode": "exact", "evaluations": estimator.evaluations}
     return result

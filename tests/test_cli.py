@@ -129,3 +129,29 @@ def test_run_experiment_command():
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["aggregate"]["mean_recall"] >= 0.5
+
+
+def _header_only_file(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("n=3 arities=2,2,2 seed=0\n")
+    return str(path)
+
+
+def test_erase_rejects_a_sample_file_with_no_rows(tmp_path):
+    empty = _header_only_file(tmp_path)
+    res = CliRunner().invoke(main, [
+        "erase", "--samples", empty, "--reveal-prob", "0.5",
+        "--out", str(tmp_path / "erased.txt"),
+    ])
+    assert res.exit_code == 2
+    assert empty in res.output and "no rows" in res.output
+    assert not (tmp_path / "erased.txt").exists()
+
+
+def test_learn_rejects_a_sample_file_with_no_rows(tmp_path):
+    empty = _header_only_file(tmp_path)
+    res = CliRunner().invoke(main, [
+        "learn", "--samples", empty, "--tau", "0.05", "-L", "3",
+    ])
+    assert res.exit_code == 2
+    assert empty in res.output and "no rows" in res.output

@@ -10,6 +10,7 @@ from mrflearn import (
     EmpiricalDistribution,
     InsufficientCoverageError,
     MarkovRandomField,
+    NuEstimator,
     QueryCapacityError,
     QueryOracle,
     SampleSet,
@@ -31,7 +32,6 @@ from mrflearn import (
     sample_exact,
 )
 from mrflearn.generate import random_raw_model
-from mrflearn.learner import ErasedNuEstimator
 
 from conftest import ising_tensor
 
@@ -282,9 +282,9 @@ def test_erased_estimator_sweep_matches_single_calls():
     groups = [(1,), (2,), (3,), (1, 2), (2, 3), (5,)]
     usable = [nu_hat_erased_sweep(emp, 0, [g], (4,))[0][1] for g in groups]
     floor = sorted(set(usable))[-2] + 1  # some estimates clear the floor, some do not
-    swept, single = ErasedNuEstimator(emp, floor), ErasedNuEstimator(emp, floor)
-    values = swept.sweep(0, groups, (4,))
-    assert values == [single(0, g, (4,)) for g in groups]
+    swept, single = NuEstimator.erased(emp, floor), NuEstimator.erased(emp, floor)
+    values = swept(0, groups, (4,))
+    assert values == [value for g in groups for value in single(0, [g], (4,))]
     assert swept.evaluations == single.evaluations == len(groups)
     assert swept.coverage_events == single.coverage_events
     effective = [eff for *_, eff in swept.coverage_events]

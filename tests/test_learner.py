@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mrflearn import (
-    ExactNuEstimator,
+    ERASED,
     GeneratorSpec,
     LearnConfig,
+    NuEstimator,
     QueryCapacityError,
     QueryOracle,
     SampleSet,
@@ -84,7 +86,7 @@ def test_config_defaults_follow_the_formulas(ising_pair):
 
 
 def test_isolated_node_gets_empty_neighborhood(isolated_pair):
-    estimator = ExactNuEstimator(exact_joint(isolated_pair))
+    estimator = NuEstimator.exact(exact_joint(isolated_pair))
     config = exact_config(isolated_pair, tau=0.01)
     result = mrf_nbhd(estimator, 0, 2, config)
     assert result.neighbors == ()
@@ -92,7 +94,7 @@ def test_isolated_node_gets_empty_neighborhood(isolated_pair):
 
 
 def test_ising_pair_neighborhood(ising_pair):
-    estimator = ExactNuEstimator(exact_joint(ising_pair))
+    estimator = NuEstimator.exact(exact_joint(ising_pair))
     config = exact_config(ising_pair, alpha=0.5, tau=0.05)
     result = mrf_nbhd(estimator, 0, 2, config)
     assert result.neighbors == (1,)
@@ -100,7 +102,7 @@ def test_ising_pair_neighborhood(ising_pair):
 
 
 def test_path_excludes_two_hop_neighbor(chain3):
-    estimator = ExactNuEstimator(exact_joint(chain3))
+    estimator = NuEstimator.exact(exact_joint(chain3))
     config = exact_config(chain3, alpha=0.5, tau=0.02)
     result = mrf_nbhd(estimator, 0, 3, config)
     assert result.neighbors == (1,)
@@ -116,7 +118,7 @@ def test_path_excludes_two_hop_neighbor(chain3):
 
 
 def test_budget_exhaustion_is_flagged(chain3):
-    estimator = ExactNuEstimator(exact_joint(chain3))
+    estimator = NuEstimator.exact(exact_joint(chain3))
     config = exact_config(chain3, alpha=0.5, tau=0.02, budget=0)
     result = mrf_nbhd(estimator, 0, 3, config)
     assert any("budget" in w for w in result.warnings)
@@ -131,7 +133,7 @@ def test_growth_step_covers_the_neighborhood_within_budget():
         )
         joint = exact_joint(model)
         graph = clique_graph(model)
-        estimator = ExactNuEstimator(joint)
+        estimator = NuEstimator.exact(joint)
         config = exact_config(model, alpha=0.35, tau=1e-4, budget=model.n)
         for u in range(model.n):
             result = mrf_nbhd(estimator, u, model.n, config)
@@ -144,22 +146,62 @@ def test_growth_step_covers_the_neighborhood_within_budget():
             assert not any("budget" in w for w in result.warnings)
 
 
-def test_estimator_audit_log_lines(caplog, ising_pair):
+def test_estimator_audit_log_lines(caplog, chain3):
+    # one line per evaluation in every mode, labelled with the rows behind it
     import logging
 
-    samples = sample_exact(exact_joint(ising_pair), 1000, seed=2)
-    config = exact_config(ising_pair, alpha=0.5, tau=0.05)
-    with caplog.at_level(logging.DEBUG, logger="mrflearn.estimator"):
-        learn_graph_full(samples, config)
-    lines = [r.message for r in caplog.records]
-    assert lines and all(line.startswith("nu u=") for line in lines)
-    assert any("m=1000" in line for line in lines)
+    joint = exact_joint(chain3)
+    config = exact_config(chain3, alpha=0.5, tau=0.02)
+    samples = sample_exact(joint, 1000, seed=2)
+    hidden = samples.data.copy()
+    hidden[:, 2] = ERASED  # every estimate involving node 2 has no coverage
+    runs = [  # (label, run, whether some estimates have no coverage)
+        ("m=1000", lambda: learn_graph_full(samples, config), False),
+        ("m=exact", lambda: learn_graph_exact(joint, config), False),
+        ("m=500", lambda: learn_graph_queried(
+            QueryOracle.from_joint(joint, config.query_capacity, seed=3),
+            3, chain3.arities, config, m_batch=500,
+        ), False),
+        ("m=1000", lambda: learn_graph_erased(SampleSet(hidden, samples.arities), config), True),
+    ]
+    for label, run, blinded in runs:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mrflearn.estimator"):
+            result = run()
+        lines = [r.message for r in caplog.records]
+        assert len(lines) == result.accounting["evaluations"] > 0
+        assert all(line.startswith("nu u=") for line in lines)
+        blind = [line for line in lines if line.endswith(" value=0 m=0 (no coverage)")]
+        assert bool(blind) == blinded and len(blind) < len(lines)
+        assert all("2" in line.split(" value=")[0] for line in blind)
+        assert all(line.endswith(" " + label) for line in lines if line not in blind), label
+
+
+def test_erased_coverage_events_become_node_warnings(chain3):
+    samples = erase(sample_exact(exact_joint(chain3), 400, seed=3), 0.5, seed=4)
+    floor = 60
+    config = exact_config(chain3, alpha=0.5, tau=0.02, coverage_floor=floor)
+    result = learn_graph_erased(samples, config)
+    pattern = re.compile(
+        r"node (\d): coverage below floor for u=(\d) I=\[[\d, ]+\] "
+        r"S=\[[\d, ]*\] \(effective m=(\d+)\)"
+    )
+    found = [pattern.fullmatch(w) for w in result.warnings if "coverage" in w]
+    assert found and all(found)
+    # each node's events are drained onto that node, and only those below the floor
+    assert all(m[1] == m[2] and int(m[3]) < floor for m in found)
+    assert len({m[1] for m in found}) > 1
+    assert len(found) < result.accounting["evaluations"]
+    for u, res in result.per_node.items():
+        assert [w for w in res.warnings if "coverage" in w] == [
+            m[0].split(": ", 1)[1] for m in found if m[1] == str(u)
+        ]
 
 
 def test_every_addition_raises_mutual_information(chain3):
     # replay the trace and check the information gain of each accepted set
     joint = exact_joint(chain3)
-    estimator = ExactNuEstimator(joint)
+    estimator = NuEstimator.exact(joint)
     config = exact_config(chain3, alpha=0.5, tau=0.02)
     for u in range(3):
         result = mrf_nbhd(estimator, u, 3, config)
