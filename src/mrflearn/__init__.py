@@ -43,11 +43,9 @@ from .estimation import (
     log10_required_samples_erased,
 )
 from .learner import (
-    DetectionFloors,
     LearnConfig,
     NeighborhoodResult,
     GraphResult,
-    theoretical_constants,
     mrf_nbhd,
     learn_graph,
     learn_graph_full,
@@ -65,6 +63,8 @@ from .game import (
     expected_payoff_exact,
     expected_payoff_mc,
     payoff_lower_bound,
+    DetectionFloors,
+    theoretical_constants,
     payoff_upper_bound_check,
     mean_nu_over_probe_sets,
     verify_payoff_bounds,

@@ -16,9 +16,7 @@ from . import io
 from .estimation import QueryOracle
 from .experiment import run_experiment, score_edges, theoretical_sample_report
 from .game import (
-    expected_payoff_exact,
     expected_payoff_mc,
-    payoff_lower_bound,
     verify_conditioned_floor,
     verify_mi_chain,
     verify_payoff_bounds,
@@ -240,28 +238,27 @@ def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond
 @click.option("--out", type=click.Path())
 def cmd_play_game(model_path, node, rounds, seed, alpha, out):
     """Exact and Monte-Carlo expected payoff per node, against the
-    theoretical floor; exits nonzero if any exact value misses it."""
+    theoretical bound per qualifying node (zero elsewhere); exits
+    nonzero if any exact value misses its bound."""
     model = io.load_model(model_path)
     joint = exact_joint(model)
-    consts = compute_gamma_delta(model)
-    graph = clique_graph(model)
-    bound = payoff_lower_bound(alpha, consts.delta, model.r, consts.gamma)
-    nodes = [node] if node is not None else [
-        u for u in range(model.n) if graph.degrees[u] > 0
-    ]
+    checks = {rec["node"]: rec for rec in verify_payoff_bounds(model, alpha, joint)}
+    if node is not None and node not in checks:
+        where = "isolated" if 0 <= node < model.n else f"outside 0..{model.n - 1}"
+        raise click.UsageError(f"--node {node} is {where}; there is no game to play")
     records = []
     all_ok = True
-    for u in nodes:
-        exact = expected_payoff_exact(model, u, joint)
+    for u in [node] if node is not None else sorted(checks):
+        check = checks[u]
         mc_mean, mc_se = expected_payoff_mc(model, u, rounds, seed + u, joint)
-        ok = exact >= bound - 1e-12 and abs(mc_mean - exact) <= 3.0 * mc_se + 1e-9
+        ok = check["ok"] and abs(mc_mean - check["exact"]) <= 3.0 * mc_se + 1e-9
         all_ok &= ok
         records.append({
             "u": u,
-            "exact_payoff": exact,
+            "exact_payoff": check["exact"],
             "mc_mean": mc_mean,
             "mc_se": mc_se,
-            "theoretical_bound": bound,
+            "theoretical_bound": check["bound"],
             "pass": ok,
         })
     _emit({"rounds": rounds, "records": records, "all_ok": all_ok}, out)

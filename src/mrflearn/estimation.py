@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .inference import nu_from_marginals
+from .inference import _check_disjoint, nu_from_marginals
 from .sampling import ERASED, SampleSet, inverse_cdf_sampler, spawn_rng
 
 
@@ -140,18 +140,6 @@ def _nu_of_counts(table: np.ndarray) -> tuple[float, int]:
     if usable == 0:
         return 0.0, 0
     return nu_from_marginals(table, c_us, table.sum(axis=0), c_s) / usable, usable
-
-
-def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
-    group = tuple(int(v) for v in group)
-    cond = tuple(int(v) for v in cond)
-    if not group:
-        raise ValueError("the probed set I must be nonempty")
-    if u in group or u in cond or set(group) & set(cond):
-        raise ValueError(f"u={u}, I={group}, S={cond} must be disjoint")
-    if len(set(group)) != len(group) or len(set(cond)) != len(cond):
-        raise ValueError("repeated nodes in I or S")
-    return group, cond
 
 
 def nu_hat_sweep(

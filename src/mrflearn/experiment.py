@@ -42,42 +42,24 @@ def score_edges(truth: set[tuple[int, int]], learned: set[tuple[int, int]]) -> E
 def theoretical_sample_report(config: LearnConfig, n: int) -> dict:
     """The guarantee-level sample bounds, as integers when representable
     and as log10 otherwise; these are reported, never used to size runs."""
-    out: dict = {}
     try:
         ell = config.theoretical_budget()
-        eps = config.theoretical_tau() / 2.0
+        tau = config.theoretical_tau()
     except (ValueError, OverflowError) as exc:
         return {"error": f"theoretical thresholds undefined: {exc}"}
-    try:
-        out["full"] = required_samples_full(
-            ell, eps, config.omega, n, config.max_arity, config.r, config.delta
-        )
-    except (OverflowError, ValueError):
-        out["full_log10"] = log10_required_samples_full(
-            ell, eps, config.omega, n, config.max_arity, config.r, config.delta
-        )
-    try:
-        out["erased_p09"] = required_samples_erased(
-            ell,
-            config.theoretical_tau(),
-            config.omega,
-            n,
-            config.max_arity,
-            config.r,
-            config.delta,
-            0.9,
-        )
-    except (OverflowError, ValueError):
-        out["erased_p09_log10"] = log10_required_samples_erased(
-            ell,
-            config.theoretical_tau(),
-            config.omega,
-            n,
-            config.max_arity,
-            config.r,
-            config.delta,
-            0.9,
-        )
+    shared = (config.omega, n, config.max_arity, config.r, config.delta)
+    bounds = [
+        ("full", required_samples_full, log10_required_samples_full,
+         (ell, tau / 2.0) + shared),
+        ("erased_p09", required_samples_erased, log10_required_samples_erased,
+         (ell, tau) + shared + (0.9,)),
+    ]
+    out: dict = {}
+    for key, formula, log10_formula, args in bounds:
+        try:
+            out[key] = formula(*args)
+        except (OverflowError, ValueError):
+            out[f"{key}_log10"] = log10_formula(*args)
     return out
 
 

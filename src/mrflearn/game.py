@@ -11,7 +11,10 @@ the inverse probability that its neighbors are all revealed, so that
 averaged over I the stake is an unbiased read of the local energy gap.
 Its positive expected payoff lower-bounds the mutual information
 between u and its neighborhood, which is what the structure learner's
-detection thresholds rest on; the checks here verify every link of
+detection thresholds rest on, so the payoff floor and the
+detection-floor formulas live here.  One simulator plays the rounds
+(``play_round`` is its first, ``expected_payoff_mc`` averages many),
+and three verifiers walk the non-isolated nodes to check every link of
 that chain numerically on small models.
 """
 
@@ -26,7 +29,6 @@ import numpy as np
 from .inference import JointTable, exact_conditional_mi, exact_joint, exact_nu, marginal
 from .model import (
     MarkovRandomField,
-    CliqueGraph,
     _maximal_hyperedges,
     clique_graph,
     compute_gamma_delta,
@@ -46,9 +48,7 @@ class GameRound:
     payoff: float
 
 
-def _phi_table(
-    model: MarkovRandomField, u: int, revealed: tuple[int, ...], graph: CliqueGraph
-) -> np.ndarray:
+def _phi_table(model: MarkovRandomField, u: int, revealed: tuple[int, ...]) -> np.ndarray:
     """Bob's phi for every (state of u, states of the revealed set).
 
     Each clique potential on u whose other members are all revealed is
@@ -56,6 +56,7 @@ def _phi_table(
     the chance that an l-set of neighbors lands inside a uniform size-s
     subset; the unary potential is always visible with weight one.
     """
+    graph = clique_graph(model)
     if not set(revealed) <= graph.neighbors[u]:
         raise ValueError(f"revealed set {revealed} is not inside the neighborhood of {u}")
     d_u = graph.degrees[u]
@@ -90,12 +91,11 @@ def bob_phi(
     revealed: tuple[int, ...],
     revealed_states: tuple[int, ...],
     s: int | None = None,
-    graph: CliqueGraph | None = None,
 ) -> float:
     """Unbiased estimate of the local energy of u in `state` from the
     revealed neighbor subset, which must have size s when s is given."""
     revealed = tuple(int(v) for v in revealed)
-    phi = _phi_table(model, u, revealed, graph or clique_graph(model))
+    phi = _phi_table(model, u, revealed)
     if s is not None and len(revealed) != s:
         raise ValueError(f"revealed set has size {len(revealed)}, expected s={s}")
     return float(phi[(state,) + tuple(int(x) for x in revealed_states)])
@@ -107,12 +107,11 @@ def bob_wager(
     state: int,
     revealed: tuple[int, ...],
     revealed_states: tuple[int, ...],
-    graph: CliqueGraph | None = None,
 ) -> float:
     """Bob's stake: the phi estimate of the challenged state minus the
     phi estimates of all rival states."""
     revealed = tuple(int(v) for v in revealed)
-    wagers = _wagers(_phi_table(model, u, revealed, graph or clique_graph(model)))
+    wagers = _wagers(_phi_table(model, u, revealed))
     return float(wagers[(state,) + tuple(int(x) for x in revealed_states)])
 
 
@@ -126,11 +125,11 @@ def wager_cap(model: MarkovRandomField) -> float:
     )
 
 
-def _probe_sets(graph: CliqueGraph, u: int, r: int, excluded: frozenset = frozenset()):
+def _probe_sets(model: MarkovRandomField, u: int, excluded: frozenset = frozenset()):
     """Size-s subsets of u's neighborhood outside `excluded`,
     s = min(r-1, available)."""
-    pool = sorted(graph.neighbors[u] - excluded)
-    s = min(r - 1, len(pool))
+    pool = sorted(clique_graph(model).neighbors[u] - excluded)
+    s = min(model.r - 1, len(pool))
     if s == 0:
         return []
     return list(itertools.combinations(pool, s))
@@ -138,10 +137,9 @@ def _probe_sets(graph: CliqueGraph, u: int, r: int, excluded: frozenset = frozen
 
 def _wager_tables(model: MarkovRandomField, u: int):
     """For each probe set I: the wager indexed by (challenge, states of I)."""
-    graph = clique_graph(model)
     return [
-        (revealed, _wagers(_phi_table(model, u, revealed, graph)))
-        for revealed in _probe_sets(graph, u, model.r)
+        (revealed, _wagers(_phi_table(model, u, revealed)))
+        for revealed in _probe_sets(model, u)
     ]
 
 
@@ -153,6 +151,40 @@ def _covariance(joint: JointTable, u: int, revealed: tuple[int, ...]) -> np.ndar
     return p_ui - p_u * p_i
 
 
+def _rounds(
+    model: MarkovRandomField,
+    u: int,
+    rounds: int,
+    rng: np.random.Generator,
+    joint: JointTable | None,
+):
+    """Simulate independent rounds at u, rejecting an isolated target
+    before the joint is built.
+
+    Draws X and X' (one row per round), then the challenges, then the
+    probe-set indices, and returns per round the revealed set, its
+    states in X, the challenge, Bob's wager and his payoff.
+    """
+    tables = _wager_tables(model, u)
+    if not tables:
+        raise ValueError(f"node {u} is isolated; the reveal draw is empty")
+    joint = joint or exact_joint(model)
+    draw = inverse_cdf_sampler(joint.probs, rng)
+    x = draw(rounds)
+    x_prime = draw(rounds)
+    challenges = rng.integers(model.arities[u], size=rounds)
+    which = rng.integers(len(tables), size=rounds)
+    revealed = np.array([probe for probe, _ in tables])[which]
+    states = np.take_along_axis(x, revealed, axis=1)
+    wagers = np.empty(rounds)
+    for t, (_, table) in enumerate(tables):
+        mask = which == t
+        wagers[mask] = table[(challenges[mask],) + tuple(states[mask].T)]
+    hit = (x[:, u] == challenges).astype(float)
+    miss = (x_prime[:, u] == challenges).astype(float)
+    return revealed, states, challenges, wagers, wagers * (hit - miss)
+
+
 def play_round(
     model: MarkovRandomField,
     u: int,
@@ -160,20 +192,17 @@ def play_round(
     joint: JointTable | None = None,
 ) -> GameRound:
     """Simulate one round; rejects isolated targets (no subset to reveal)."""
-    joint = joint or exact_joint(model)
-    tables = _wager_tables(model, u)
-    if not tables:
-        raise ValueError(f"node {u} is isolated; the reveal draw is empty")
-    x, x_prime = inverse_cdf_sampler(joint.probs, rng)(2)
-    challenge = int(rng.integers(model.arities[u]))
-    revealed, wagers = tables[int(rng.integers(len(tables)))]
-    states = tuple(int(x[v]) for v in revealed)
-    wager = float(wagers[(challenge,) + states])
-    payoff = wager * (
-        (1.0 if int(x[u]) == challenge else 0.0)
-        - (1.0 if int(x_prime[u]) == challenge else 0.0)
+    revealed, states, challenge, wager, payoff = (
+        column[0] for column in _rounds(model, u, 1, rng, joint)
     )
-    return GameRound(u, revealed, states, challenge, wager, payoff)
+    return GameRound(
+        u,
+        tuple(int(v) for v in revealed),
+        tuple(int(x) for x in states),
+        int(challenge),
+        float(wager),
+        float(payoff),
+    )
 
 
 def expected_payoff_exact(
@@ -206,30 +235,7 @@ def expected_payoff_mc(
     """Monte-Carlo mean payoff and its standard error over independent rounds."""
     if rounds < 1:
         raise ValueError("need at least one round")
-    tables = _wager_tables(model, u)
-    if not tables:
-        raise ValueError(f"node {u} is isolated; the reveal draw is empty")
-    joint = joint or exact_joint(model)
-    rng = spawn_rng(seed, "game")
-    draw = inverse_cdf_sampler(joint.probs, rng)
-    x = draw(rounds)
-    x_prime = draw(rounds)
-    challenges = rng.integers(model.arities[u], size=rounds)
-    which = rng.integers(len(tables), size=rounds)
-    payoffs = np.zeros(rounds)
-    for t, (revealed, wagers) in enumerate(tables):
-        mask = which == t
-        if not mask.any():
-            continue
-        cols = x[mask][:, list(revealed)]
-        flat_wagers = wagers.reshape(wagers.shape[0], -1)
-        code = np.zeros(cols.shape[0], dtype=np.int64)
-        for j, v in enumerate(revealed):
-            code = code * model.arities[v] + cols[:, j]
-        w = flat_wagers[challenges[mask], code]
-        hit = (x[mask][:, u] == challenges[mask]).astype(float)
-        miss = (x_prime[mask][:, u] == challenges[mask]).astype(float)
-        payoffs[mask] = w * (hit - miss)
+    payoffs = _rounds(model, u, rounds, spawn_rng(seed, "game"), joint)[-1]
     mean = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(rounds)) if rounds > 1 else 0.0
     return mean, se
@@ -241,6 +247,37 @@ def payoff_lower_bound(alpha: float, delta: float, r: int, gamma: float) -> floa
     return 4.0 * alpha**2 * delta ** (r - 1) / (r ** (2 * r) * math.exp(2.0 * gamma))
 
 
+@dataclass(frozen=True)
+class DetectionFloors:
+    """Guaranteed lower bounds on the average detectable coupling.
+
+    ``unconditional`` applies with no conditioning set; ``conditioned``
+    survives conditioning on any set that misses a neighbor and is
+    smaller by a factor delta^max_degree.
+    """
+
+    unconditional: float
+    conditioned: float
+
+
+def theoretical_constants(
+    gamma: float, k_max: int, alpha: float, r: int, max_degree: int, delta: float
+) -> DetectionFloors:
+    """Evaluate the detection-floor formulas from the model constants."""
+    if min(gamma, k_max, alpha, r, delta) <= 0 or max_degree < 0:
+        raise ValueError("constants must be positive (gamma in particular)")
+    choose = math.comb(max_degree, r - 1)
+    if choose == 0:
+        raise ValueError(f"max degree {max_degree} cannot support order-{r} interactions")
+    base = (
+        4.0
+        * alpha**2
+        * delta ** (r - 1)
+        / (r ** (2 * r) * k_max ** (r + 1) * choose * gamma * math.exp(2.0 * gamma))
+    )
+    return DetectionFloors(unconditional=base, conditioned=base * delta**max_degree)
+
+
 def payoff_upper_bound_check(
     model: MarkovRandomField, u: int, joint: JointTable | None = None, tol: float = 1e-12
 ) -> dict:
@@ -250,8 +287,7 @@ def payoff_upper_bound_check(
     which can hold with equality for perfectly symmetric models.
     """
     joint = joint or exact_joint(model)
-    graph = clique_graph(model)
-    subsets = _probe_sets(graph, u, model.r)
+    subsets = _probe_sets(model, u)
     if not subsets:
         return {"node": u, "exact": 0.0, "upper": 0.0, "slack": 0.0, "ok": True}
     deviation = sum(
@@ -268,52 +304,49 @@ def payoff_upper_bound_check(
     }
 
 
-def mean_nu_over_probe_sets(
-    joint: JointTable,
-    u: int,
-    cond: tuple[int, ...] = (),
-    graph: CliqueGraph | None = None,
-) -> tuple[float, list[tuple[int, ...]]]:
+def mean_nu_over_probe_sets(joint: JointTable, u: int, cond: tuple[int, ...] = ()) -> float:
     """Average exact nu over the uniform probe draw: I ranges over the
     size-s subsets of u's neighbors outside the conditioning set."""
-    model = joint.model
-    graph = graph or clique_graph(model)
-    subsets = _probe_sets(graph, u, model.r, excluded=frozenset(cond))
+    subsets = _probe_sets(joint.model, u, excluded=frozenset(cond))
     if not subsets:
         raise ValueError(f"conditioning set covers the whole neighborhood of {u}")
     values = [exact_nu(joint, u, revealed, tuple(cond)) for revealed in subsets]
-    return float(np.mean(values)), subsets
+    return float(np.mean(values))
 
 
-def _qualifying_nodes(model: MarkovRandomField, alpha: float) -> dict[int, dict]:
-    """Per node: whether some / every maximal hyperedge containing it is
-    alpha-nonvanishing."""
+def _qualifying_nodes(model: MarkovRandomField, alpha: float):
+    """Yield (u, some_strong, all_strong) for every non-isolated node u:
+    whether some / every maximal hyperedge containing it is
+    alpha-nonvanishing.  A non-isolated node always lies in a maximal
+    hyperedge of two or more nodes."""
+    degrees = clique_graph(model).degrees
     maximal = _maximal_hyperedges(model)
-    out = {}
     for u in range(model.n):
+        if degrees[u] == 0:
+            continue
         containing = [h for h in maximal if u in h]
         strong = [h for h in containing if model.potentials[h].max_abs() >= alpha]
-        out[u] = {
-            "some_strong": bool(strong),
-            "all_strong": bool(containing) and len(strong) == len(containing),
-        }
-    return out
+        yield u, bool(strong), len(strong) == len(containing)
+
+
+def _floors(model: MarkovRandomField, alpha: float) -> DetectionFloors:
+    """The model's detection floors at nonvanishing level alpha."""
+    consts = compute_gamma_delta(model)
+    return theoretical_constants(
+        consts.gamma, consts.max_arity, alpha, model.r, consts.max_degree, consts.delta
+    )
 
 
 def verify_payoff_bounds(
     model: MarkovRandomField, alpha: float, joint: JointTable | None = None
 ) -> list[dict]:
-    """Exact payoff against its guaranteed floor, per qualifying node."""
+    """Exact payoff per non-isolated node, against its guaranteed floor
+    where the node qualifies and against zero elsewhere."""
     joint = joint or exact_joint(model)
     consts = compute_gamma_delta(model)
     bound = payoff_lower_bound(alpha, consts.delta, model.r, consts.gamma)
-    graph = clique_graph(model)
-    qualifying = _qualifying_nodes(model, alpha)
     records = []
-    for u in range(model.n):
-        if graph.degrees[u] == 0:
-            continue
-        strong = qualifying[u]["some_strong"]
+    for u, strong, _ in _qualifying_nodes(model, alpha):
         exact = expected_payoff_exact(model, u, joint)
         records.append(
             {
@@ -331,26 +364,15 @@ def verify_mi_chain(
     model: MarkovRandomField, alpha: float, joint: JointTable | None = None
 ) -> list[dict]:
     """Check every link from the game payoff to the unconditional
-    detection floor, per qualifying node."""
-    from .learner import theoretical_constants
-
+    detection floor, per non-isolated node; the floor applies where the
+    node qualifies."""
     joint = joint or exact_joint(model)
-    consts = compute_gamma_delta(model)
-    graph = clique_graph(model)
-    floors = theoretical_constants(
-        consts.gamma, consts.max_arity, alpha, model.r, consts.max_degree, consts.delta
-    )
-    qualifying = _qualifying_nodes(model, alpha)
+    floors = _floors(model, alpha)
     records = []
-    for u in range(model.n):
-        if graph.degrees[u] == 0:
-            continue
-        qual = qualifying[u]["some_strong"]
-        upper = payoff_upper_bound_check(model, u, joint)
-        links_ok = upper["ok"]
-        subsets = _probe_sets(graph, u, model.r)
+    for u, qual, _ in _qualifying_nodes(model, alpha):
+        links_ok = payoff_upper_bound_check(model, u, joint)["ok"]
         nus = []
-        for revealed in subsets:
+        for revealed in _probe_sets(model, u):
             nu = exact_nu(joint, u, revealed, ())
             mi = exact_conditional_mi(joint, u, revealed, ())
             dev = float(np.abs(_covariance(joint, u, revealed)).sum()) / model.arities[u]
@@ -381,27 +403,22 @@ def verify_conditioned_floor(
     joint: JointTable | None = None,
 ) -> list[dict]:
     """Exhaustively check the conditioned detection floor: for every node
-    and every conditioning set (up to the size cap) that misses a
-    neighbor, the probe-averaged exact nu clears the conditioned floor."""
-    from .learner import theoretical_constants
-
+    whose maximal hyperedges are all alpha-nonvanishing and every
+    conditioning set (up to the size cap) that misses a neighbor, the
+    probe-averaged exact nu clears the conditioned floor."""
     joint = joint or exact_joint(model)
-    consts = compute_gamma_delta(model)
-    graph = clique_graph(model)
-    floors = theoretical_constants(
-        consts.gamma, consts.max_arity, alpha, model.r, consts.max_degree, consts.delta
-    )
-    qualifying = _qualifying_nodes(model, alpha)
+    floors = _floors(model, alpha)
+    neighbors = clique_graph(model).neighbors
     records = []
-    for u in range(model.n):
-        if graph.degrees[u] == 0 or not qualifying[u]["all_strong"]:
+    for u, _, all_strong in _qualifying_nodes(model, alpha):
+        if not all_strong:
             continue
         others = [v for v in range(model.n) if v != u]
         for size in range(0, max_cond_size + 1):
             for cond in itertools.combinations(others, size):
-                if graph.neighbors[u] <= set(cond):
+                if neighbors[u] <= set(cond):
                     continue
-                mean_nu, _ = mean_nu_over_probe_sets(joint, u, cond, graph)
+                mean_nu = mean_nu_over_probe_sets(joint, u, cond)
                 records.append(
                     {
                         "node": u,

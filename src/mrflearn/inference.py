@@ -75,16 +75,26 @@ def marginal(joint: JointTable, nodes: tuple[int, ...]) -> np.ndarray:
     return summed.transpose(perm)
 
 
+def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
+    """Validate a (u, I, S) triple for nu or conditional MI: I nonempty,
+    u, I and S pairwise disjoint and free of repeats."""
+    group = tuple(int(v) for v in group)
+    cond = tuple(int(v) for v in cond)
+    if not group:
+        raise ValueError("the probed set I must be nonempty")
+    if u in group or u in cond or set(group) & set(cond):
+        raise ValueError(f"u={u}, I={group}, S={cond} must be disjoint")
+    if len(set(group)) != len(group) or len(set(cond)) != len(cond):
+        raise ValueError("repeated nodes in I or S")
+    return group, cond
+
+
 def _split_uis(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...]
 ):
     """Shared setup: the (u, I..., S...) marginal and its sub-marginals."""
-    group = tuple(int(v) for v in group)
-    cond = tuple(int(v) for v in cond)
-    pool = (u,) + group + cond
-    if u in group or u in cond or set(group) & set(cond):
-        raise ValueError(f"u={u}, I={group}, S={cond} must be disjoint")
-    table = marginal(joint, pool)
+    group, cond = _check_disjoint(u, group, cond)
+    table = marginal(joint, (u,) + group + cond)
     i_axes = tuple(range(1, 1 + len(group)))
     s_axes = tuple(range(1 + len(group), table.ndim))
     p_s = table.sum(axis=(0,) + i_axes, keepdims=True)

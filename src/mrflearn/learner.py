@@ -32,42 +32,12 @@ from .estimation import (
     nu_hat_queried,
     nu_hat_sweep,
 )
+from .game import DetectionFloors, theoretical_constants
 from .inference import JointTable, exact_nu
 from .model import MarkovRandomField, compute_gamma_delta
 from .sampling import SampleSet
 
 audit_log = logging.getLogger("mrflearn.estimator")
-
-
-@dataclass(frozen=True)
-class DetectionFloors:
-    """Guaranteed lower bounds on the average detectable coupling.
-
-    ``unconditional`` applies with no conditioning set; ``conditioned``
-    survives conditioning on any set that misses a neighbor and is
-    smaller by a factor delta^max_degree.
-    """
-
-    unconditional: float
-    conditioned: float
-
-
-def theoretical_constants(
-    gamma: float, k_max: int, alpha: float, r: int, max_degree: int, delta: float
-) -> DetectionFloors:
-    """Evaluate the detection-floor formulas from the model constants."""
-    if min(gamma, k_max, alpha, r, delta) <= 0 or max_degree < 0:
-        raise ValueError("constants must be positive (gamma in particular)")
-    choose = math.comb(max_degree, r - 1)
-    if choose == 0:
-        raise ValueError(f"max degree {max_degree} cannot support order-{r} interactions")
-    base = (
-        4.0
-        * alpha**2
-        * delta ** (r - 1)
-        / (r ** (2 * r) * k_max ** (r + 1) * choose * gamma * math.exp(2.0 * gamma))
-    )
-    return DetectionFloors(unconditional=base, conditioned=base * delta**max_degree)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -129,6 +130,41 @@ class MarkovRandomField:
     def configuration_count(self) -> int:
         return math.prod(self.arities)
 
+    # Derived once per instance (see clique_graph and compute_gamma_delta);
+    # a process-wide cache would keep every model it has seen alive.
+    @cached_property
+    def _clique_graph(self) -> CliqueGraph:
+        neighbors = [set() for _ in range(self.n)]
+        edges = set()
+        for verts in self.potentials:
+            for a, b in itertools.combinations(verts, 2):
+                edges.add((a, b))
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+        degrees = tuple(len(nb) for nb in neighbors)
+        return CliqueGraph(
+            edges=frozenset(edges),
+            neighbors=tuple(frozenset(nb) for nb in neighbors),
+            degrees=degrees,
+            max_degree=max(degrees) if degrees else 0,
+        )
+
+    @cached_property
+    def _constants(self) -> DerivedConstants:
+        gamma = 0.0
+        for u in range(self.n):
+            gamma = max(
+                gamma, sum(self.potentials[h].max_abs() for h in self.incident(u))
+            )
+        k_max = self.max_arity
+        delta = math.exp(-2.0 * gamma) / k_max
+        return DerivedConstants(
+            gamma=gamma,
+            delta=delta,
+            max_degree=self._clique_graph.max_degree,
+            max_arity=k_max,
+        )
+
 
 @dataclass(frozen=True)
 class CliqueGraph:
@@ -228,20 +264,7 @@ def canonicalize(model: MarkovRandomField) -> MarkovRandomField:
 
 def clique_graph(model: MarkovRandomField) -> CliqueGraph:
     """Edges, neighborhoods and degrees induced by the stored hyperedges."""
-    neighbors = [set() for _ in range(model.n)]
-    edges = set()
-    for verts in model.potentials:
-        for a, b in itertools.combinations(verts, 2):
-            edges.add((a, b))
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-    degrees = tuple(len(nb) for nb in neighbors)
-    return CliqueGraph(
-        edges=frozenset(edges),
-        neighbors=tuple(frozenset(nb) for nb in neighbors),
-        degrees=degrees,
-        max_degree=max(degrees) if degrees else 0,
-    )
+    return model._clique_graph
 
 
 def _maximal_hyperedges(model: MarkovRandomField) -> list[Hyperedge]:
@@ -318,19 +341,7 @@ def conditional_distribution(
 def compute_gamma_delta(model: MarkovRandomField) -> DerivedConstants:
     """gamma = max over nodes of the summed max-magnitudes of incident
     tensors; delta = exp(-2*gamma)/K."""
-    gamma = 0.0
-    for u in range(model.n):
-        gamma = max(
-            gamma, sum(model.potentials[h].max_abs() for h in model.incident(u))
-        )
-    k_max = model.max_arity
-    delta = math.exp(-2.0 * gamma) / k_max
-    return DerivedConstants(
-        gamma=gamma,
-        delta=delta,
-        max_degree=clique_graph(model).max_degree,
-        max_arity=k_max,
-    )
+    return model._constants
 
 
 def condition_on(

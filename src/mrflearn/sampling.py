@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .inference import JointTable
-from .model import MarkovRandomField, conditional_distribution
+from .model import MarkovRandomField, clique_graph, conditional_distribution
 
 #: marker for an erased cell in a sample matrix
 ERASED = -1
@@ -106,8 +106,6 @@ def sample_exact(joint: JointTable, m: int, seed: int) -> SampleSet:
 def _conditional_tables(model: MarkovRandomField):
     """Per node: sorted neighbor list and the conditional CDF for every
     neighbor configuration (mixed-radix indexed)."""
-    from .model import clique_graph
-
     graph = clique_graph(model)
     tables = []
     scratch = [0] * model.n

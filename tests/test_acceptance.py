@@ -209,7 +209,7 @@ def _exhaustive_detection_floor(model, joint):
             for cond in itertools.combinations(others, s_size):
                 if graph.neighbors[u] <= set(cond):
                     continue
-                value, _ = mean_nu_over_probe_sets(joint, u, cond, graph)
+                value = mean_nu_over_probe_sets(joint, u, cond)
                 floor = min(floor, value)
     return floor
 

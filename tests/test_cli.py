@@ -2,7 +2,10 @@ import json
 
 from click.testing import CliRunner
 
+from mrflearn import CliqueTensor, MarkovRandomField, io
 from mrflearn.cli import main
+
+from conftest import ising_tensor
 
 
 def test_end_to_end_flow(tmp_path):
@@ -155,3 +158,40 @@ def test_learn_rejects_a_sample_file_with_no_rows(tmp_path):
     ])
     assert res.exit_code == 2
     assert empty in res.output and "no rows" in res.output
+
+
+def _save_weak_pair_with_isolated_node(tmp_path):
+    """Nodes 0 - 1 with a +-0.01 coupling, far below alpha = 0.5, and an
+    isolated node 2."""
+    model = MarkovRandomField(
+        3, (2, 2, 2), {(0, 1): CliqueTensor((0, 1), ising_tensor(0.01))}, r=2
+    )
+    path = str(tmp_path / "weak.json")
+    io.save_model(model, path)
+    return path
+
+
+def test_play_game_holds_only_qualifying_nodes_to_the_floor(tmp_path):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    res = CliRunner().invoke(main, [
+        "play-game", "--model", model_path, "--rounds", "20000", "--alpha", "0.5",
+    ])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["all_ok"] is True
+    assert [rec["u"] for rec in payload["records"]] == [0, 1]
+    assert all(rec["theoretical_bound"] == 0.0 for rec in payload["records"])
+
+
+def test_play_game_rejects_an_isolated_node(tmp_path):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    res = CliRunner().invoke(main, ["play-game", "--model", model_path, "--node", "2"])
+    assert res.exit_code == 2
+    assert "--node 2 is isolated" in res.output
+
+
+def test_play_game_rejects_an_out_of_range_node(tmp_path):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    res = CliRunner().invoke(main, ["play-game", "--model", model_path, "--node", "3"])
+    assert res.exit_code == 2
+    assert "--node 3 is outside 0..2" in res.output

@@ -226,6 +226,22 @@ def test_play_round_respects_cap_and_rejects_isolated(chain3, isolated_pair):
         play_round(isolated_pair, 0, rng)
 
 
+def test_play_round_is_the_first_round_of_the_simulator(chain3):
+    # one round drawn by play_round consumes the stream exactly as a
+    # one-round Monte-Carlo run at the same seed
+    for seed in range(20):
+        round_ = play_round(chain3, 1, spawn_rng(seed, "game"))
+        assert expected_payoff_mc(chain3, 1, 1, seed) == (round_.payoff, 0.0)
+
+
+def test_isolated_target_is_rejected_before_the_joint_is_built():
+    too_big = MarkovRandomField(25, (2,) * 25, {}, r=2)  # over the enumeration cap
+    with pytest.raises(ValueError, match="isolated"):
+        expected_payoff_mc(too_big, 0, 10, seed=0)
+    with pytest.raises(ValueError, match="isolated"):
+        play_round(too_big, 0, spawn_rng(0, "game"))
+
+
 # ---------------------------------------------------------------- upper bound and chain
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mrflearn import (
     CapacityError,
     CliqueTensor,
+    EmpiricalDistribution,
     MarkovRandomField,
     canonicalize,
     clique_graph,
@@ -18,6 +19,8 @@ from mrflearn import (
     exact_joint,
     exact_nu,
     marginal,
+    nu_hat,
+    sample_exact,
 )
 from mrflearn.generate import random_raw_model
 
@@ -160,6 +163,30 @@ def test_nu_zero_for_independent(isolated_pair):
 
 def test_nu_ising_pair(ising_pair):
     assert exact_nu(exact_joint(ising_pair), 0, (1,)) == pytest.approx(ISING_NU, abs=1e-12)
+
+
+@pytest.mark.parametrize("u, group, cond", [
+    (0, (), ()),
+    (0, (), (1,)),
+    (0, (0,), ()),
+    (0, (1,), (0,)),
+    (0, (1,), (1,)),
+    (0, (1, 1), ()),
+    (0, (1,), (2, 2)),
+])
+def test_bad_triples_raise_the_same_error_everywhere(chain3, u, group, cond):
+    joint = exact_joint(chain3)
+    emp = EmpiricalDistribution(sample_exact(joint, 200, seed=0))
+    messages = []
+    for call in (
+        lambda: exact_nu(joint, u, group, cond),
+        lambda: exact_conditional_mi(joint, u, group, cond),
+        lambda: nu_hat(emp, u, group, cond),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1, messages
 
 
 def brute_nu(joint, u, group, cond):
