@@ -64,6 +64,7 @@ from .game import (
     expected_payoff_mc,
     payoff_lower_bound,
     DetectionFloors,
+    detection_floors,
     theoretical_constants,
     payoff_upper_bound_check,
     mean_nu_over_probe_sets,

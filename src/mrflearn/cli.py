@@ -7,6 +7,7 @@ code is 0 iff all checks the command ran have passed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -21,11 +22,11 @@ from .game import (
     verify_mi_chain,
     verify_payoff_bounds,
 )
-from .generate import GeneratorSpec, generate_model
+from .generate import FeasibilityError, GeneratorSpec, generate_model
 from .inference import exact_joint
 from .learner import LearnConfig, learn_graph_erased, learn_graph_full, learn_graph_queried
 from .model import clique_graph, compute_gamma_delta
-from .sampling import SampleSet, erase as erase_cells
+from .sampling import ERASED, SampleSet, erase as erase_cells
 from .sampling import gibbs_sample, sample_exact
 
 
@@ -36,6 +37,15 @@ def _emit(payload: dict, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         click.echo(text)
+
+
+@contextlib.contextmanager
+def _spec_errors():
+    """Report a spec the generator cannot place as a usage error."""
+    try:
+        yield
+    except FeasibilityError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _load_rows(path: str) -> SampleSet:
@@ -70,7 +80,8 @@ def cmd_generate_model(n, r, max_degree, max_arity, alpha, beta, density, no_una
         n=n, r=r, max_degree=max_degree, max_arity=max_arity, alpha=alpha,
         beta=beta, hyperedge_density=density, with_unaries=not no_unaries, seed=seed,
     )
-    model = generate_model(spec)
+    with _spec_errors():
+        model = generate_model(spec)
     io.save_model(model, out)
     consts = compute_gamma_delta(model)
     click.echo(json.dumps({
@@ -125,23 +136,20 @@ def cmd_erase(samples_path, reveal_prob, seed, out):
 @click.option("--r", type=int, default=2, show_default=True,
               help="interaction order when no --model provides it")
 @click.option("--alpha", type=float, default=0.2, show_default=True)
-@click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--m", type=int, help="use only the first m sample rows")
 @click.option("--m-batch", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--prune-sets", is_flag=True)
 @click.option("--coverage-floor", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path())
-def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, beta, m, m_batch,
+def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, m, m_batch,
               seed, prune_sets, coverage_floor, out):
     """Run the structure learner and emit per-node records plus a summary."""
     truth_model = io.load_model(model_path) if model_path else None
-    config = None
-    if truth_model is not None:
-        config = LearnConfig.from_model(
-            truth_model, alpha, beta, override_tau=tau, override_L=budget,
-            prune_sets=prune_sets, coverage_floor=coverage_floor,
-        )
+    config = LearnConfig(
+        r=truth_model.r if truth_model is not None else r, tau=tau, budget=budget,
+        prune_sets=prune_sets, coverage_floor=coverage_floor,
+    )
     if mode == "queried":
         if truth_model is None:
             raise click.UsageError("queried mode samples fresh data and needs --model")
@@ -149,7 +157,6 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, beta, m, m_
         result = learn_graph_queried(
             oracle, truth_model.n, truth_model.arities, config, m_batch
         )
-        n_nodes = truth_model.n
     else:
         if samples_path is None:
             raise click.UsageError(f"{mode} mode needs --samples")
@@ -158,22 +165,20 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, beta, m, m_
             if not 1 <= m <= samples.m:
                 raise click.UsageError(f"--m must lie in 1..{samples.m}")
             samples = SampleSet(samples.data[:m], samples.arities, samples.seed)
-        n_nodes = samples.n
-        if config is None:
-            config = LearnConfig(
-                r=r, max_degree=max(n_nodes - 1, 1), max_arity=max(samples.arities),
-                alpha=alpha, beta=beta, gamma=0.0, delta=1.0 / max(samples.arities),
-                override_tau=tau, override_L=budget,
-                prune_sets=prune_sets, coverage_floor=coverage_floor,
-            )
         if mode == "full":
+            if (samples.data == ERASED).any():
+                raise click.UsageError(
+                    f"sample file {samples_path} has erased cells; use --mode erased"
+                )
             result = learn_graph_full(samples, config)
         else:
             result = learn_graph_erased(samples, config)
     payload = result.to_json_dict()
     payload["effective"] = {"tau": config.tau, "budget": config.budget}
-    payload["theoretical_m"] = theoretical_sample_report(config, n_nodes)
-    if truth_model is not None:
+    if truth_model is None:
+        payload["theoretical_m"] = {"error": "theoretical thresholds undefined: no --model"}
+    else:
+        payload["theoretical_m"] = theoretical_sample_report(truth_model, alpha)
         truth = set(clique_graph(truth_model).edges)
         s = score_edges(truth, result.edges)
         payload["summary"] = {
@@ -206,7 +211,8 @@ def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond
             n=n, r=r, max_degree=max_degree, max_arity=max_arity,
             alpha=alpha, beta=beta, seed=seed + i,
         )
-        model = generate_model(spec)
+        with _spec_errors():
+            model = generate_model(spec)
         joint = exact_joint(model)
         payoff = verify_payoff_bounds(model, alpha, joint)
         chain = verify_mi_chain(model, alpha, joint)
@@ -232,7 +238,8 @@ def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond
 @main.command("play-game")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--node", type=int, default=None, help="single node; default all non-isolated")
-@click.option("--rounds", type=int, default=100000, show_default=True)
+@click.option("--rounds", type=click.IntRange(min=2), default=100000, show_default=True,
+              help="at least 2, so the Monte-Carlo standard error is defined")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--alpha", type=float, default=0.2, show_default=True)
 @click.option("--out", type=click.Path())
@@ -289,11 +296,10 @@ def cmd_run_experiment(n, r, max_degree, max_arity, alpha, beta, density, trials
         n=n, r=r, max_degree=max_degree, max_arity=max_arity,
         alpha=alpha, beta=beta, hyperedge_density=density, seed=seed,
     )
-    config = LearnConfig(
-        r=r, max_degree=max_degree, max_arity=max_arity, alpha=alpha, beta=beta,
-        gamma=0.0, delta=0.0, override_tau=tau, override_L=budget,
-    )
-    report = run_experiment(spec, config, trials, mode, m, seed, reveal_prob)
+    with _spec_errors():
+        report = run_experiment(
+            spec, LearnConfig(r, tau, budget), trials, mode, m, seed, reveal_prob
+        )
     _emit(report.to_json_dict(), out)
 
 

@@ -1,4 +1,9 @@
-"""Experiment orchestration: generate, sample, (erase,) learn, score."""
+"""Experiment orchestration: generate, sample, (erase,) learn, score.
+
+Runs are sized by the caller's tau and L; the guarantee-level sample
+bounds at the model's theoretical tau and L are only reported, through
+``theoretical_sample_report``.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +20,10 @@ from .estimation import (
 from .generate import GeneratorSpec, generate_model
 from .inference import exact_joint
 from .learner import GraphResult, LearnConfig, learn_graph_erased, learn_graph_full, learn_graph_queried
-from .model import clique_graph
+from .model import MarkovRandomField, clique_graph, compute_gamma_delta
 from .sampling import erase, sample_exact, spawn_rng
+
+OMEGA = 0.05  # failure probability the reported sample bounds hold at
 
 
 @dataclass(frozen=True)
@@ -39,20 +46,22 @@ def score_edges(truth: set[tuple[int, int]], learned: set[tuple[int, int]]) -> E
     return EdgeScore(precision, recall, truth == learned, precision_defined)
 
 
-def theoretical_sample_report(config: LearnConfig, n: int) -> dict:
-    """The guarantee-level sample bounds, as integers when representable
-    and as log10 otherwise; these are reported, never used to size runs."""
+def theoretical_sample_report(model: MarkovRandomField, alpha: float) -> dict:
+    """The guarantee-level sample bounds for ``model`` at nonvanishing
+    level alpha, at the theoretical tau and L and failure probability
+    OMEGA; as integers when representable and as log10 otherwise.  These
+    are reported, never used to size runs."""
     try:
-        ell = config.theoretical_budget()
-        tau = config.theoretical_tau()
+        ideal = LearnConfig.from_model(model, alpha)
     except (ValueError, OverflowError) as exc:
         return {"error": f"theoretical thresholds undefined: {exc}"}
-    shared = (config.omega, n, config.max_arity, config.r, config.delta)
+    consts = compute_gamma_delta(model)
+    shared = (OMEGA, model.n, consts.max_arity, model.r, consts.delta)
     bounds = [
         ("full", required_samples_full, log10_required_samples_full,
-         (ell, tau / 2.0) + shared),
+         (ideal.budget, ideal.tau / 2.0) + shared),
         ("erased_p09", required_samples_erased, log10_required_samples_erased,
-         (ell, tau) + shared + (0.9,)),
+         (ideal.budget, ideal.tau) + shared + (0.9,)),
     ]
     out: dict = {}
     for key, formula, log10_formula, args in bounds:
@@ -163,12 +172,5 @@ def run_experiment(
             run_trial(spec, config, mode, m, trial_seed, reveal_prob)
         )
     report.seconds = time.perf_counter() - start
-    report_config = config
-    if config.gamma <= 0.0:
-        # constants from a probe model so the theoretical bounds are meaningful
-        probe = generate_model(spec)
-        report_config = LearnConfig.from_model(
-            probe, config.alpha, config.beta, omega=config.omega
-        )
-    report.theoretical_m = theoretical_sample_report(report_config, spec.n)
+    report.theoretical_m = theoretical_sample_report(generate_model(spec), spec.alpha)
     return report

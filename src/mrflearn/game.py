@@ -329,8 +329,9 @@ def _qualifying_nodes(model: MarkovRandomField, alpha: float):
         yield u, bool(strong), len(strong) == len(containing)
 
 
-def _floors(model: MarkovRandomField, alpha: float) -> DetectionFloors:
-    """The model's detection floors at nonvanishing level alpha."""
+def detection_floors(model: MarkovRandomField, alpha: float) -> DetectionFloors:
+    """The model's detection floors at nonvanishing level alpha; the
+    learner's theoretical tau is half the conditioned one."""
     consts = compute_gamma_delta(model)
     return theoretical_constants(
         consts.gamma, consts.max_arity, alpha, model.r, consts.max_degree, consts.delta
@@ -367,7 +368,7 @@ def verify_mi_chain(
     detection floor, per non-isolated node; the floor applies where the
     node qualifies."""
     joint = joint or exact_joint(model)
-    floors = _floors(model, alpha)
+    floors = detection_floors(model, alpha)
     records = []
     for u, qual, _ in _qualifying_nodes(model, alpha):
         links_ok = payoff_upper_bound_check(model, u, joint)["ok"]
@@ -407,7 +408,7 @@ def verify_conditioned_floor(
     conditioning set (up to the size cap) that misses a neighbor, the
     probe-averaged exact nu clears the conditioned floor."""
     joint = joint or exact_joint(model)
-    floors = _floors(model, alpha)
+    floors = detection_floors(model, alpha)
     neighbors = clique_graph(model).neighbors
     records = []
     for u, _, all_strong in _qualifying_nodes(model, alpha):

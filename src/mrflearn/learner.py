@@ -8,6 +8,11 @@ singleton coupling against the rest of S falls below tau.  Edges of the
 recovered graph require mutual inclusion of the two endpoint
 neighborhoods; one-sided detections are surfaced as warnings.
 
+``LearnConfig`` holds the five values the learner reads: r, tau, the
+budget L, set-valued pruning and the erased mode's coverage floor;
+``from_model`` derives the theoretical tau and L from the model's
+detection floors.
+
 The four modes (exact, full, erased, queried) run the same learner and
 differ only in how nu(u, I | S) is obtained: each supplies a kernel to
 the one ``NuEstimator``, which counts, audits and enforces the erased
@@ -32,7 +37,7 @@ from .estimation import (
     nu_hat_queried,
     nu_hat_sweep,
 )
-from .game import DetectionFloors, theoretical_constants
+from .game import detection_floors
 from .inference import JointTable, exact_nu
 from .model import MarkovRandomField, compute_gamma_delta
 from .sampling import SampleSet
@@ -42,72 +47,49 @@ audit_log = logging.getLogger("mrflearn.estimator")
 
 @dataclass
 class LearnConfig:
-    """Thresholds and budgets driving the learner.
+    """The interaction order r, threshold tau and size budget L the
+    learner runs at, whether it prunes by sets, and the erased mode's
+    coverage floor.
 
-    When tau or the budget L is not overridden they default to the
-    theoretical values: tau = conditioned floor / 2 and
-    L = (8 / tau^2) * log(K).  Those defaults are astronomically
-    conservative for real models, so overrides are the norm; reports
-    always carry both.
+    ``from_model`` fills in the theoretical values for whichever of tau
+    and L is not overridden: tau = conditioned floor / 2 and
+    L = (8 / tau^2) * log(K).  Those are astronomically conservative for
+    real models, so overrides are the norm.
     """
 
     r: int
-    max_degree: int
-    max_arity: int
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    omega: float = 0.05
-    override_tau: Optional[float] = None
-    override_L: Optional[float] = None
+    tau: float
+    budget: float  # candidate-set size budget; the greedy loop runs while |S| <= budget
     prune_sets: bool = False
     coverage_floor: int = 1
 
     @classmethod
-    def from_model(cls, model: MarkovRandomField, alpha: float, beta: float, **kw):
-        consts = compute_gamma_delta(model)
-        return cls(
-            r=model.r,
-            max_degree=consts.max_degree,
-            max_arity=consts.max_arity,
-            alpha=alpha,
-            beta=beta,
-            gamma=consts.gamma,
-            delta=consts.delta,
-            **kw,
-        )
-
-    def floors(self) -> DetectionFloors:
-        return theoretical_constants(
-            self.gamma, self.max_arity, self.alpha, self.r, self.max_degree, self.delta
-        )
-
-    @property
-    def tau(self) -> float:
-        if self.override_tau is not None:
-            return self.override_tau
-        return self.floors().conditioned / 2.0
-
-    @property
-    def budget(self) -> float:
-        """Candidate-set size budget; the greedy loop runs while |S| <= budget."""
-        if self.override_L is not None:
-            return self.override_L
-        return (8.0 / self.tau**2) * math.log(self.max_arity)
+    def from_model(
+        cls,
+        model: MarkovRandomField,
+        alpha: float,
+        beta: Optional[float] = None,
+        override_tau: Optional[float] = None,
+        override_L: Optional[float] = None,
+        **kw,
+    ) -> "LearnConfig":
+        """The config for ``model`` at nonvanishing level alpha.  The
+        default budget is taken at the effective tau.  No threshold
+        depends on beta; it is accepted so that existing positional
+        calls keep working."""
+        tau = override_tau
+        if tau is None:
+            tau = detection_floors(model, alpha).conditioned / 2.0
+        budget = override_L
+        if budget is None:
+            budget = (8.0 / tau**2) * math.log(compute_gamma_delta(model).max_arity)
+        return cls(r=model.r, tau=tau, budget=budget, **kw)
 
     @property
     def query_capacity(self) -> int:
         """Nodes one bounded query must observe: u, a probe set of up to
         r - 1 nodes and a conditioning set of up to floor(budget) nodes."""
         return math.floor(self.budget) + self.r
-
-    def theoretical_tau(self) -> float:
-        return self.floors().conditioned / 2.0
-
-    def theoretical_budget(self) -> float:
-        t = self.theoretical_tau()
-        return (8.0 / t**2) * math.log(self.max_arity)
 
 
 @dataclass

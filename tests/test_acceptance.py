@@ -29,6 +29,7 @@ from mrflearn import (
     nu_from_marginals,
     sample_exact,
 )
+from mrflearn.experiment import theoretical_sample_report
 from mrflearn.generate import random_raw_model
 from mrflearn.model import center_values
 
@@ -283,11 +284,7 @@ def test_08_sampled_recovery_rate():
     probe = generate_model(GeneratorSpec(
         n=12, r=2, max_degree=3, max_arity=2, alpha=0.4, beta=1.0, seed=0
     ))
-    config = LearnConfig.from_model(probe, 0.4, 1.0)
-    theoretical = ml.log10_required_samples_full(
-        config.theoretical_budget(), config.theoretical_tau() / 2.0, config.omega,
-        12, config.max_arity, config.r, config.delta,
-    )
+    theoretical = theoretical_sample_report(probe, 0.4)["full_log10"]
     assert rate >= 0.9
     assert rate_double >= rate
     assert elapsed < 1800.0

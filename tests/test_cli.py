@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from mrflearn import CliqueTensor, MarkovRandomField, io
@@ -195,3 +196,45 @@ def test_play_game_rejects_an_out_of_range_node(tmp_path):
     res = CliRunner().invoke(main, ["play-game", "--model", model_path, "--node", "3"])
     assert res.exit_code == 2
     assert "--node 3 is outside 0..2" in res.output
+
+
+def test_learn_full_mode_rejects_a_sample_file_with_erasures(tmp_path):
+    erased = tmp_path / "erased.txt"
+    erased.write_text("n=2 arities=2,2 seed=0\n1 2\n? 1\n2 2\n")
+    res = CliRunner().invoke(main, [
+        "learn", "--samples", str(erased), "--tau", "0.05", "-L", "3",
+    ])
+    assert res.exit_code == 2
+    assert str(erased) in res.output and "--mode erased" in res.output
+
+
+def test_learn_without_a_model_reports_no_theoretical_thresholds(tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("n=2 arities=2,2 seed=0\n1 2\n2 1\n2 2\n")
+    res = CliRunner().invoke(main, [
+        "learn", "--samples", str(samples), "--tau", "0.05", "-L", "3",
+    ])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["theoretical_m"] == {
+        "error": "theoretical thresholds undefined: no --model"
+    }
+
+
+@pytest.mark.parametrize("command", [
+    ["generate-model", "--n", "1", "--out", "never.json"],
+    ["verify-bounds", "--r", "1"],
+    ["run-experiment", "--n", "1", "--tau", "0.05", "-L", "3"],
+])
+def test_an_unplaceable_spec_is_a_usage_error(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(main, command)
+    assert res.exit_code == 2, res.output
+    assert "need n >= 2 and r >= 2 to place any interaction" in res.output
+
+
+@pytest.mark.parametrize("rounds", ["0", "1"])
+def test_play_game_rejects_fewer_than_two_rounds(tmp_path, rounds):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    res = CliRunner().invoke(main, ["play-game", "--model", model_path, "--rounds", rounds])
+    assert res.exit_code == 2
+    assert "--rounds" in res.output

@@ -11,6 +11,7 @@ from mrflearn import (
     score_edges,
     validate_nondegeneracy,
 )
+from mrflearn.experiment import theoretical_sample_report
 
 
 def test_two_node_spec_gives_single_edge():
@@ -72,10 +73,7 @@ def test_score_disjoint_sets():
 
 
 def small_config():
-    return LearnConfig(
-        r=2, max_degree=2, max_arity=2, alpha=0.4, beta=1.0,
-        gamma=0.0, delta=0.0, override_tau=0.05, override_L=4,
-    )
+    return LearnConfig(r=2, tau=0.05, budget=4)
 
 
 def test_run_experiment_rejects_zero_trials():
@@ -92,6 +90,27 @@ def test_run_experiment_reproducible():
         assert ta["learned_edges"] == tb["learned_edges"]
         assert ta["exact_match"] == tb["exact_match"]
     assert "full" in a.theoretical_m or "full_log10" in a.theoretical_m
+
+
+def test_theoretical_sample_report_frozen_values(ising_pair):
+    # frozen from the report as computed before the theoretical thresholds
+    # moved out of LearnConfig; the two bounds take tau / 2 and tau, so a
+    # swapped argument shows
+    n12 = generate_model(GeneratorSpec(
+        n=12, r=2, max_degree=3, max_arity=2, alpha=0.4, beta=1.0, seed=0
+    ))
+    assert theoretical_sample_report(ising_pair, 0.5) == pytest.approx(
+        {"full_log10": 1215515748.552007, "erased_p09_log10": 1215515758.149393}, rel=1e-12
+    )
+    assert theoretical_sample_report(n12, 0.4) == pytest.approx(
+        {"full_log10": 6.132274029526359e+27, "erased_p09_log10": 6.132274029526359e+27},
+        rel=1e-12,
+    )
+
+
+def test_theoretical_sample_report_names_an_undefined_threshold(isolated_pair):
+    report = theoretical_sample_report(isolated_pair, 0.5)
+    assert report["error"].startswith("theoretical thresholds undefined: ")
 
 
 def test_run_experiment_recovers_small_models():

@@ -14,6 +14,7 @@ from mrflearn import (
     QueryOracle,
     SampleSet,
     clique_graph,
+    detection_floors,
     erase,
     exact_conditional_mi,
     exact_joint,
@@ -80,7 +81,10 @@ def test_config_defaults_follow_the_formulas(ising_pair):
     )
     assert with_override.tau == 0.05
     assert with_override.budget == 4
-    assert with_override.theoretical_tau() == pytest.approx(config.tau)
+    assert detection_floors(ising_pair, 0.5).conditioned / 2.0 == pytest.approx(config.tau)
+    # the default budget is taken at the effective tau
+    tau_only = LearnConfig.from_model(ising_pair, 0.5, override_tau=0.05)
+    assert tau_only.budget == pytest.approx((8.0 / 0.05**2) * math.log(2), rel=1e-12)
 
 
 # ---------------------------------------------------------------- single-node runs
@@ -351,3 +355,12 @@ def test_traced_names_exist(module, name):
     for part in name.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_benchmark_config_call(ising_pair):
+    # perfbench/run.py builds its config this way, with beta positional
+    config = LearnConfig.from_model(
+        ising_pair, 0.4, 1.0, override_tau=0.009, override_L=6, coverage_floor=3
+    )
+    assert (config.tau, config.budget, config.r, config.prune_sets) == (0.009, 6, 2, False)
+    assert config.coverage_floor == 3
