@@ -49,9 +49,12 @@ def _spec_errors():
 
 
 def _load_rows(path: str) -> SampleSet:
-    """Load a sample file, rejecting one with no rows: nothing can be
-    erased or learned from it."""
-    samples = io.load_samples(path)
+    """Load a sample file, rejecting a malformed one and one with no
+    rows: nothing can be erased or learned from either."""
+    try:
+        samples = io.load_samples(path)
+    except ValueError as exc:
+        raise click.UsageError(f"sample file {path}: {exc}") from exc
     if samples.m == 0:
         raise click.UsageError(f"sample file {path} holds no rows")
     return samples
@@ -95,11 +98,11 @@ def cmd_generate_model(n, r, max_degree, max_arity, alpha, beta, density, no_una
 
 @main.command("sample")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--sampler", type=click.Choice(["exact", "gibbs"]), default="exact", show_default=True)
-@click.option("--burn-in", type=int, default=100, show_default=True)
-@click.option("--thinning", type=int, default=5, show_default=True)
+@click.option("--burn-in", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--thinning", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_sample(model_path, m, seed, sampler, burn_in, thinning, out):
     """Draw samples from a model file."""
@@ -114,7 +117,7 @@ def cmd_sample(model_path, m, seed, sampler, burn_in, thinning, out):
 
 @main.command("erase")
 @click.option("--samples", "samples_path", type=click.Path(exists=True), required=True)
-@click.option("--reveal-prob", type=float, required=True)
+@click.option("--reveal-prob", type=click.FloatRange(0, 1), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_erase(samples_path, reveal_prob, seed, out):
@@ -137,7 +140,7 @@ def cmd_erase(samples_path, reveal_prob, seed, out):
               help="interaction order when no --model provides it")
 @click.option("--alpha", type=float, default=0.2, show_default=True)
 @click.option("--m", type=int, help="use only the first m sample rows")
-@click.option("--m-batch", type=int, default=10000, show_default=True)
+@click.option("--m-batch", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--prune-sets", is_flag=True)
 @click.option("--coverage-floor", type=int, default=1, show_default=True)
@@ -281,12 +284,12 @@ def cmd_play_game(model_path, node, rounds, seed, alpha, out):
 @click.option("--alpha", type=float, default=0.4, show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--density", type=float, default=0.8, show_default=True)
-@click.option("--trials", type=int, default=5, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--mode", type=click.Choice(["full", "erased", "queried"]), default="full", show_default=True)
-@click.option("--m", type=int, default=50000, show_default=True)
+@click.option("--m", type=click.IntRange(min=1), default=50000, show_default=True)
 @click.option("--tau", type=float, required=True)
 @click.option("--budget", "-L", "budget", type=float, required=True)
-@click.option("--reveal-prob", type=float, default=0.9, show_default=True)
+@click.option("--reveal-prob", type=click.FloatRange(0, 1), default=0.9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())
 def cmd_run_experiment(n, r, max_degree, max_arity, alpha, beta, density, trials,

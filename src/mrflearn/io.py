@@ -3,11 +3,13 @@
 Model files carry tensors as row-major flat value lists (JSON floats
 round-trip at full precision).  Sample files are line oriented: a header
 ``n=<n> arities=<csv> seed=<u64>`` then one row per sample with 1-based
-states and ``?`` for erased cells.
+states in plain decimal and ``?`` for erased cells.  No other spelling
+of a state (``01``, ``+1``, ``1_0``, non-ASCII digits) is read.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -56,40 +58,30 @@ def load_model(path: str | Path) -> MarkovRandomField:
     return model_from_json_dict(json.loads(Path(path).read_text()))
 
 
+#: the largest arity a sample file may declare: the token table holds one
+#: string per state, so a header cannot make a reader allocate without bound
+MAX_ARITY = 1 << 16
+
+
+def _state_tokens(arities: tuple[int, ...]) -> list[str]:
+    """The cell spellings of a file with these arities, indexed by
+    state - ERASED: '?' for an erased cell, then the states 1..max arity
+    in plain decimal.  The writer emits only these and the reader reads
+    only these."""
+    return ["?"] + [str(s) for s in range(1, max(arities, default=0) + 1)]
+
+
 def samples_to_text(samples: SampleSet) -> str:
     header = "n={} arities={} seed={}".format(
         samples.n, ",".join(str(k) for k in samples.arities), samples.seed
     )
-    lines = [header]
-    for row in samples.data:
-        lines.append(
-            " ".join("?" if cell == ERASED else str(int(cell) + 1) for cell in row)
-        )
-    return "\n".join(lines) + "\n"
+    tokens = np.array(_state_tokens(samples.arities), dtype=object)
+    rows = map(" ".join, tokens[samples.data - ERASED].tolist())
+    return "\n".join([header, *rows]) + "\n"
 
 
-#: a cell that is neither '?' nor a state of its column
+#: the state of a cell whose token is not in the token table
 _INVALID = ERASED - 1
-
-
-class _StateTokens(dict):
-    """Cell text -> 0-based state for one column of arity k: '?' is ERASED,
-    an integer in 1..k is that state less one, and anything else is
-    _INVALID.  Valid tokens are remembered the first time they are seen."""
-
-    def __init__(self, k: int):
-        super().__init__({"?": ERASED})
-        self.k = k
-
-    def __missing__(self, token: str) -> int:
-        try:
-            state = int(token) - 1
-        except ValueError:
-            return _INVALID
-        if not 0 <= state < self.k:
-            return _INVALID
-        self[token] = state
-        return state
 
 
 def _header(line: str) -> tuple[int, tuple[int, ...], int]:
@@ -110,6 +102,10 @@ def _header(line: str) -> tuple[int, tuple[int, ...], int]:
         raise ValueError(f"header fields must be integers: {line!r}") from None
     if len(arities) != n:
         raise ValueError("header arity count does not match n")
+    if not all(1 <= k <= MAX_ARITY for k in arities):
+        raise ValueError(
+            f"header arities={fields['arities']} must each lie in 1..{MAX_ARITY}"
+        )
     return n, arities, seed
 
 
@@ -123,20 +119,20 @@ def samples_from_text(text: str) -> SampleSet:
     if not lines:
         raise ValueError("empty sample file")
     n, arities, seed = _header(lines[0])
-    tokens = [_StateTokens(k) for k in arities]
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        cells = line.split()
+    rows = [line.split() for line in lines[1:]]
+    for i, cells in enumerate(rows, start=1):
         if len(cells) != n:
             raise ValueError(f"row {i} has {len(cells)} cells, expected {n}")
-        rows.append([states[c] for states, c in zip(tokens, cells)])
-    data = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    bad = np.argwhere(data == _INVALID)
+    states = {token: s for s, token in enumerate(_state_tokens(arities), start=ERASED)}
+    cells = itertools.chain.from_iterable(rows)
+    data = np.fromiter(
+        map(states.get, cells, itertools.repeat(_INVALID)), np.int64, len(rows) * n
+    ).reshape(len(rows), n)
+    bad = np.argwhere((data == _INVALID) | (data >= np.array(arities)))
     if bad.size:
         i, j = (int(x) for x in bad[0])
-        cell = lines[i + 1].split()[j]
         raise ValueError(
-            f"row {i + 1}, column {j + 1}: {cell!r} is not '?' "
+            f"row {i + 1}, column {j + 1}: {rows[i][j]!r} is not '?' "
             f"or a state in 1..{arities[j]}"
         )
     return SampleSet(data, arities, seed=seed)

@@ -238,3 +238,44 @@ def test_play_game_rejects_fewer_than_two_rounds(tmp_path, rounds):
     res = CliRunner().invoke(main, ["play-game", "--model", model_path, "--rounds", rounds])
     assert res.exit_code == 2
     assert "--rounds" in res.output
+
+
+def test_a_malformed_sample_file_is_a_usage_error(tmp_path):
+    bad = tmp_path / "short.txt"
+    bad.write_text("n=2 arities=2,2\n1\n")
+    for command in (
+        ["erase", "--samples", str(bad), "--reveal-prob", "0.5", "--out", str(tmp_path / "e.txt")],
+        ["learn", "--samples", str(bad), "--tau", "0.05", "-L", "3"],
+    ):
+        res = CliRunner().invoke(main, command)
+        assert res.exit_code == 2, res.output
+        assert str(bad) in res.output and "row 1 has 1 cells, expected 2" in res.output
+    assert not (tmp_path / "e.txt").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    (["sample", "--m", "0"], "--m"),
+    (["sample", "--m", "5", "--sampler", "gibbs", "--burn-in", "0"], "--burn-in"),
+    (["sample", "--m", "5", "--sampler", "gibbs", "--thinning", "0"], "--thinning"),
+    (["erase", "--reveal-prob", "1.5"], "--reveal-prob"),
+    (["learn", "--mode", "queried", "--tau", "0.05", "-L", "3", "--m-batch", "0"], "--m-batch"),
+    (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "3", "--trials", "0"], "--trials"),
+    (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "3", "--m", "0"], "--m"),
+    (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "3", "--mode", "erased",
+      "--reveal-prob", "1.5"], "--reveal-prob"),
+], ids=["sample-m", "burn-in", "thinning", "erase-reveal-prob", "m-batch", "trials",
+        "experiment-m", "experiment-reveal-prob"])
+def test_out_of_range_counts_and_probabilities_are_usage_errors(tmp_path, command, option):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    samples = tmp_path / "samples.txt"
+    samples.write_text("n=3 arities=2,2,2 seed=0\n1 2 1\n2 2 1\n")
+    files = {
+        "sample": ["--model", model_path, "--out", str(tmp_path / "out.txt")],
+        "erase": ["--samples", str(samples), "--out", str(tmp_path / "out.txt")],
+        "learn": ["--model", model_path],
+        "run-experiment": [],
+    }[command[0]]
+    res = CliRunner().invoke(main, command + files)
+    assert res.exit_code == 2, res.output
+    assert f"'{option}'" in res.output
+    assert not (tmp_path / "out.txt").exists()

@@ -59,6 +59,33 @@ def test_samples_roundtrip_with_erasures(tmp_path):
     np.testing.assert_array_equal(load_samples(path).data, samples.data)
 
 
+def _reference_text(samples):
+    """The sample format written out cell by cell."""
+    lines = ["n={} arities={} seed={}".format(
+        samples.n, ",".join(str(k) for k in samples.arities), samples.seed
+    )]
+    for row in samples.data:
+        lines.append(" ".join("?" if c == ERASED else str(int(c) + 1) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [0, 1, 200])
+@pytest.mark.parametrize("erased_share", [0.0, 0.4])
+def test_samples_text_matches_a_cell_by_cell_reference(m, erased_share):
+    from mrflearn.io import samples_from_text, samples_to_text
+
+    arities = tuple(range(2, 13))  # states 10..12 take two characters
+    rng = np.random.default_rng(m)
+    data = np.stack([rng.integers(k, size=m) for k in arities], axis=1)
+    data = np.where(rng.random(data.shape) < erased_share, ERASED, data)
+    samples = SampleSet(data, arities, seed=2**63 + m)
+    text = samples_to_text(samples)
+    assert text == _reference_text(samples)
+    back = samples_from_text(text)
+    np.testing.assert_array_equal(back.data, samples.data)
+    assert back.arities == arities and back.seed == samples.seed
+
+
 def test_samples_reject_malformed_header():
     with pytest.raises(ValueError):
         load_header = "n=2 arities=2,2,2 seed=0\n1 1\n"
@@ -77,8 +104,19 @@ def test_samples_reject_malformed_header():
         ("n=2 arities=2,2 seed\n1 1\n", "header field 'seed' is not key=value"),
         ("n=2 arities=2,two\n1 1\n", "header fields must be integers"),
         ("n=2 arities=2,2\n1 1\n1\n", "row 2 has 1 cells, expected 2"),
+        ("n=2 arities=2,2\n01 1\n", r"row 1, column 1: '01' is not '\?' or a state in 1\.\.2"),
+        ("n=2 arities=2,2\n1 +1\n", r"row 1, column 2: '\+1'"),
+        ("n=2 arities=12,2\n1_0 1\n", r"row 1, column 1: '1_0' is not '\?' or a state in 1\.\.12"),
+        ("n=2 arities=2,2\n2 \uff11\n", "row 1, column 2: '\uff11'"),
+        ("n=2 arities=-2,2\n1 1\n", r"header arities=-2,2 must each lie in 1\.\.65536"),
+        ("n=2 arities=2,0\n1 1\n", r"header arities=2,0 must each lie in 1\.\.65536"),
+        ("n=1 arities=65537\n1\n", r"header arities=65537 must each lie in 1\.\.65536"),
     ],
-    ids=["zero-state", "state-above-arity", "non-integer", "no-n", "no-equals", "bad-int", "short-row"],
+    ids=[
+        "zero-state", "state-above-arity", "non-integer", "no-n", "no-equals", "bad-int",
+        "short-row", "leading-zero", "plus-sign", "underscore", "fullwidth-digit",
+        "negative-arity", "zero-arity", "arity-above-cap",
+    ],
 )
 def test_samples_reject_malformed_files(text, message):
     from mrflearn.io import samples_from_text
