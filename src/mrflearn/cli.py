@@ -194,7 +194,7 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, m, m_batch,
 
 
 @main.command("verify-bounds")
-@click.option("--models", type=int, default=10, show_default=True)
+@click.option("--models", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--n", type=int, default=5, show_default=True)
 @click.option("--r", type=int, default=2, show_default=True)
 @click.option("--max-degree", "-D", "max_degree", type=int, default=3, show_default=True)

@@ -199,9 +199,12 @@ def nu_hat_erased(
 @dataclass
 class QueryOracle:
     """Serves bounded queries: per fresh sample, observe at most
-    `capacity` nodes of your choosing.  Stateful; one consumer at a time."""
+    `capacity` nodes of your choosing.  Stateful; one consumer at a time.
 
-    source: Callable[[int], np.ndarray]
+    `source(m, nodes)` returns the next m samples at the listed nodes.
+    """
+
+    source: Callable[[int, list[int]], np.ndarray]
     capacity: int
     consumed: int = 0
     queries_issued: int = 0
@@ -219,10 +222,10 @@ class QueryOracle:
         cursor = {"pos": 0}
         data = samples.data
 
-        def draw(m: int) -> np.ndarray:
+        def draw(m: int, nodes: list[int]) -> np.ndarray:
             if cursor["pos"] + m > data.shape[0]:
                 raise RuntimeError("sample stream exhausted")
-            out = data[cursor["pos"] : cursor["pos"] + m]
+            out = data[cursor["pos"] : cursor["pos"] + m, nodes]
             cursor["pos"] += m
             return out
 
@@ -237,11 +240,11 @@ class QueryOracle:
             )
         if m_batch < 1:
             raise ValueError("batch size must be >= 1")
-        full = self.source(m_batch)
+        block = self.source(m_batch, list(nodes))
         self.consumed += m_batch
         self.queries_issued += 1
         self.max_query_size = max(self.max_query_size, len(nodes))
-        return full[:, list(nodes)]
+        return block
 
 
 def nu_hat_queried(

@@ -66,7 +66,8 @@ def generate_model(spec: GeneratorSpec) -> MarkovRandomField:
     Interaction hyperedges (size 2..r) form an antichain so each is
     maximal and must be alpha-nonvanishing; unary potentials are only
     attached to covered nodes, keeping them non-maximal.  Raises when the
-    request is impossible (alpha > beta, or nothing placeable).
+    request is impossible (alpha > beta, max_arity < 2, or nothing
+    placeable).
     """
     if spec.alpha > spec.beta:
         raise FeasibilityError(f"alpha={spec.alpha} > beta={spec.beta} is contradictory")
@@ -74,6 +75,10 @@ def generate_model(spec: GeneratorSpec) -> MarkovRandomField:
         raise FeasibilityError("hyperedge_density must lie in (0, 1]")
     if spec.n < 2 or spec.r < 2:
         raise FeasibilityError("need n >= 2 and r >= 2 to place any interaction")
+    if spec.max_arity < 2:
+        raise FeasibilityError(
+            f"max_arity={spec.max_arity}: every node needs at least 2 states"
+        )
     rng = spawn_rng(spec.seed, "model")
     arities = tuple(int(rng.integers(2, spec.max_arity + 1)) for _ in range(spec.n))
     target = max(1, round(spec.hyperedge_density * spec.n))

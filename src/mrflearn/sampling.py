@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,19 +78,30 @@ class SampleSet:
 
 def inverse_cdf_sampler(
     probs: np.ndarray, rng: np.random.Generator
-) -> Callable[[int], np.ndarray]:
-    """Return draw(count): `count` i.i.d. configurations of the probability
-    table `probs`, one row of states each, by inverse CDF on
-    ``rng.random(count)``."""
-    flat = probs.ravel()
-    cdf = np.cumsum(flat)
+) -> Callable[..., np.ndarray]:
+    """Return draw(count, nodes=None): `count` i.i.d. configurations of the
+    probability table `probs` by inverse CDF on ``rng.random(count)``, one
+    row each holding the states of `nodes` (every node when None).
+
+    The random stream does not depend on `nodes`: a draw restricted to
+    some nodes equals the full draw's columns at those nodes.
+    """
+    shape = probs.shape
+    strides = [math.prod(shape[v + 1 :]) for v in range(len(shape))]
+    cdf = np.cumsum(probs.ravel())
     cdf[-1] = 1.0
 
-    def draw(count: int) -> np.ndarray:
-        idx = np.minimum(
-            np.searchsorted(cdf, rng.random(count), side="right"), flat.size - 1
-        )
-        return np.stack(np.unravel_index(idx, probs.shape), axis=1)
+    def draw(count: int, nodes: Sequence[int] | None = None) -> np.ndarray:
+        keys = rng.random(count)
+        # searchsorted is elementwise; sorted keys keep its bisection
+        # branches predictable, and the scatter restores the draw order
+        order = np.argsort(keys)
+        idx = np.empty(count, dtype=np.intp)
+        idx[order] = np.searchsorted(cdf, keys[order], side="right")
+        np.minimum(idx, cdf.size - 1, out=idx)
+        if nodes is None:
+            nodes = range(len(shape))
+        return np.stack([idx // strides[v] % shape[v] for v in nodes], axis=1)
 
     return draw
 

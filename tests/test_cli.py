@@ -232,6 +232,19 @@ def test_an_unplaceable_spec_is_a_usage_error(tmp_path, monkeypatch, command):
     assert "need n >= 2 and r >= 2 to place any interaction" in res.output
 
 
+@pytest.mark.parametrize("command", [
+    ["generate-model", "--n", "4", "-K", "1", "--out", "never.json"],
+    ["verify-bounds", "--n", "4", "-K", "1"],
+    ["run-experiment", "--n", "4", "-K", "1", "--tau", "0.05", "-L", "3"],
+])
+def test_a_max_arity_below_two_is_a_usage_error(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(main, command)
+    assert res.exit_code == 2, res.output
+    assert "max_arity=1: every node needs at least 2 states" in res.output
+    assert not (tmp_path / "never.json").exists()
+
+
 @pytest.mark.parametrize("rounds", ["0", "1"])
 def test_play_game_rejects_fewer_than_two_rounds(tmp_path, rounds):
     model_path = _save_weak_pair_with_isolated_node(tmp_path)
@@ -263,8 +276,9 @@ def test_a_malformed_sample_file_is_a_usage_error(tmp_path):
     (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "3", "--m", "0"], "--m"),
     (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "3", "--mode", "erased",
       "--reveal-prob", "1.5"], "--reveal-prob"),
+    (["verify-bounds", "--models", "0"], "--models"),
 ], ids=["sample-m", "burn-in", "thinning", "erase-reveal-prob", "m-batch", "trials",
-        "experiment-m", "experiment-reveal-prob"])
+        "experiment-m", "experiment-reveal-prob", "verify-models"])
 def test_out_of_range_counts_and_probabilities_are_usage_errors(tmp_path, command, option):
     model_path = _save_weak_pair_with_isolated_node(tmp_path)
     samples = tmp_path / "samples.txt"
@@ -274,6 +288,7 @@ def test_out_of_range_counts_and_probabilities_are_usage_errors(tmp_path, comman
         "erase": ["--samples", str(samples), "--out", str(tmp_path / "out.txt")],
         "learn": ["--model", model_path],
         "run-experiment": [],
+        "verify-bounds": [],
     }[command[0]]
     res = CliRunner().invoke(main, command + files)
     assert res.exit_code == 2, res.output

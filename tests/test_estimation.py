@@ -384,6 +384,33 @@ def test_query_oracle_from_samples_exhausts(ising_pair):
         oracle.query((0,), 30)
 
 
+def test_query_oracle_from_samples_serves_the_next_rows():
+    model = canonicalize(random_raw_model(5, 2, 3, seed=11))
+    samples = erase(sample_exact(exact_joint(model), 60, seed=1), 0.7, seed=2)
+    oracle = QueryOracle.from_samples(samples, capacity=3)
+    pos = 0
+    for nodes, m in [((4, 0), 10), ((2,), 1), ((1, 3, 4), 25), ((0, 2, 3), 24)]:
+        block = oracle.query(nodes, m)
+        np.testing.assert_array_equal(block, samples.data[pos : pos + m, sorted(nodes)])
+        pos += m
+    assert (oracle.consumed, oracle.queries_issued, oracle.max_query_size) == (60, 4, 3)
+    with pytest.raises(RuntimeError, match="exhausted"):
+        oracle.query((0,), 1)
+
+
+def test_query_oracle_stream_does_not_depend_on_the_queried_nodes():
+    model = canonicalize(random_raw_model(6, 3, 3, seed=21))
+    joint = exact_joint(model)
+    a = QueryOracle.from_joint(joint, capacity=4, seed=8)
+    b = QueryOracle.from_joint(joint, capacity=4, seed=8)
+    for nodes_a, nodes_b in [((0, 1, 2), (1, 2, 5)), ((3,), (3, 4)), ((5, 0, 4, 2), (2, 5))]:
+        shared = sorted(set(nodes_a) & set(nodes_b))
+        block_a, block_b = a.query(nodes_a, 500), b.query(nodes_b, 500)
+        cols_a = [sorted(nodes_a).index(v) for v in shared]
+        cols_b = [sorted(nodes_b).index(v) for v in shared]
+        np.testing.assert_array_equal(block_a[:, cols_a], block_b[:, cols_b])
+
+
 def test_nu_hat_queried_independent_pair(isolated_pair):
     oracle = QueryOracle.from_joint(exact_joint(isolated_pair), capacity=2, seed=0)
     value = nu_hat_queried(oracle, 0, (1,), (), 10_000, isolated_pair.arities)

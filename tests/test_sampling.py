@@ -15,6 +15,8 @@ from mrflearn import (
     spawn_rng,
 )
 
+from mrflearn.sampling import inverse_cdf_sampler
+
 from conftest import ising_tensor
 
 
@@ -67,6 +69,84 @@ def test_sample_exact_chi_square_sanity(ising_pair):
     expected = joint.probs.ravel() * samples.m
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < 16.27  # 99.9% quantile of chi-square with 3 dof
+
+
+def reference_draw(probs, rng, count):
+    """The inverse-CDF draw written out plainly: search the keys in draw
+    order, then decode every node of the flat index."""
+    cdf = np.cumsum(probs.ravel())
+    cdf[-1] = 1.0
+    idx = np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), cdf.size - 1)
+    return np.stack(np.unravel_index(idx, probs.shape), axis=1)
+
+
+def _tables():
+    rng = np.random.default_rng(2024)
+    tables = {}
+    for t in range(3):
+        shape = tuple(int(k) for k in rng.integers(2, 5, size=5))
+        tables[f"mixed-{t}"] = rng.random(shape)
+    peaked = np.full((3, 2, 4), 1e-9)
+    peaked[1, 0, 2] = 1.0
+    tables["peaked"] = peaked
+    # zeros give the CDF flat runs of equal values, and a zero last entry
+    # leaves the cdf[-1] = 1 clamp to decide the tail
+    sparse = rng.random((4, 3, 2, 2)) * (rng.random((4, 3, 2, 2)) < 0.4)
+    sparse[0, 0, 0, 0] = 0.5
+    sparse[-1, -1, -1, -1] = 0.0
+    tables["zeros"] = sparse
+    tables["coarse"] = np.array([[0.25, 0.25], [0.0, 0.5]])
+    return {name: probs / probs.sum() for name, probs in tables.items()}
+
+
+TABLES = _tables()
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("count", [1, 7, 10_000])
+def test_draw_matches_the_plain_inverse_cdf(name, count):
+    probs = TABLES[name]
+    draw = inverse_cdf_sampler(probs, np.random.default_rng(count))
+    ref_rng = np.random.default_rng(count)
+    for _ in range(3):  # later draws continue the same stream
+        got = draw(count)
+        want = reference_draw(probs, ref_rng, count)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class _Keys:
+    """Stands in for a generator: random(count) hands out the given keys."""
+
+    def __init__(self, keys):
+        self.keys = list(keys)
+
+    def random(self, count):
+        out, self.keys = np.array(self.keys[:count]), self.keys[count:]
+        return out
+
+
+def test_draw_breaks_keys_equal_to_a_cdf_value_like_the_plain_inverse_cdf():
+    # random floats almost never hit a CDF value, so the ties are handed in
+    probs = TABLES["coarse"]  # cdf 0.25, 0.5, 0.5, 1.0
+    cdf = np.cumsum(probs.ravel())
+    keys = [0.0, 0.25, 0.5, 0.75]
+    keys += [float(np.nextafter(c, side)) for c in cdf[:-1] for side in (0.0, 1.0)]
+    keys = keys[::-1] + keys
+    got = inverse_cdf_sampler(probs, _Keys(keys))(len(keys))
+    np.testing.assert_array_equal(got, reference_draw(probs, _Keys(keys), len(keys)))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_draw_at_some_nodes_is_the_full_draw_at_those_columns(name):
+    probs = TABLES[name]
+    n = probs.ndim
+    subsets = [[0], [n - 1], [0, n - 1], [n - 1, 0], list(range(1, n)), list(range(n))]
+    for nodes in subsets:
+        full = inverse_cdf_sampler(probs, np.random.default_rng(5))
+        some = inverse_cdf_sampler(probs, np.random.default_rng(5))
+        for count in (1, 7, 10_000):
+            np.testing.assert_array_equal(some(count, nodes), full(count)[:, nodes])
 
 
 # ---------------------------------------------------------------- gibbs sampler
