@@ -23,7 +23,7 @@ from .game import (
     verify_payoff_bounds,
 )
 from .generate import FeasibilityError, GeneratorSpec, generate_model
-from .inference import exact_joint
+from .inference import CapacityError, exact_joint
 from .learner import LearnConfig, learn_graph_erased, learn_graph_full, learn_graph_queried
 from .model import clique_graph, compute_gamma_delta
 from .sampling import ERASED, SampleSet, erase as erase_cells
@@ -41,10 +41,19 @@ def _emit(payload: dict, out: str | None) -> None:
 
 @contextlib.contextmanager
 def _spec_errors():
-    """Report a spec the generator cannot place as a usage error."""
+    """Report a spec the generator cannot place, or a model too large
+    for exact enumeration, as a usage error."""
     try:
         yield
-    except FeasibilityError as exc:
+    except (FeasibilityError, CapacityError) as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
+def _learn_config(**kw) -> LearnConfig:
+    """The learner's configuration; an out-of-range tau or budget is a usage error."""
+    try:
+        return LearnConfig(**kw)
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
 
@@ -108,7 +117,9 @@ def cmd_sample(model_path, m, seed, sampler, burn_in, thinning, out):
     """Draw samples from a model file."""
     model = io.load_model(model_path)
     if sampler == "exact":
-        samples = sample_exact(exact_joint(model), m, seed)
+        with _spec_errors():
+            joint = exact_joint(model)
+        samples = sample_exact(joint, m, seed)
     else:
         samples = gibbs_sample(model, m, burn_in, thinning, seed)
     io.save_samples(samples, out)
@@ -149,14 +160,16 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, m, m_batch,
               seed, prune_sets, coverage_floor, out):
     """Run the structure learner and emit per-node records plus a summary."""
     truth_model = io.load_model(model_path) if model_path else None
-    config = LearnConfig(
+    config = _learn_config(
         r=truth_model.r if truth_model is not None else r, tau=tau, budget=budget,
         prune_sets=prune_sets, coverage_floor=coverage_floor,
     )
     if mode == "queried":
         if truth_model is None:
             raise click.UsageError("queried mode samples fresh data and needs --model")
-        oracle = QueryOracle.from_joint(exact_joint(truth_model), config.query_capacity, seed)
+        with _spec_errors():
+            joint = exact_joint(truth_model)
+        oracle = QueryOracle.from_joint(joint, config.query_capacity, seed)
         result = learn_graph_queried(
             oracle, truth_model.n, truth_model.arities, config, m_batch
         )
@@ -164,6 +177,11 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, m, m_batch,
         if samples_path is None:
             raise click.UsageError(f"{mode} mode needs --samples")
         samples = _load_rows(samples_path)
+        if truth_model is not None and samples.arities != truth_model.arities:
+            raise click.UsageError(
+                f"sample file {samples_path} has arities {list(samples.arities)}, "
+                f"model {model_path} has {list(truth_model.arities)}"
+            )
         if m is not None:
             if not 1 <= m <= samples.m:
                 raise click.UsageError(f"--m must lie in 1..{samples.m}")
@@ -201,7 +219,7 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, m, m_batch,
 @click.option("--max-arity", "-K", "max_arity", type=int, default=2, show_default=True)
 @click.option("--alpha", type=float, default=0.3, show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True)
-@click.option("--max-cond-size", type=int, default=2, show_default=True)
+@click.option("--max-cond-size", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())
 def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond_size, seed, out):
@@ -251,7 +269,8 @@ def cmd_play_game(model_path, node, rounds, seed, alpha, out):
     theoretical bound per qualifying node (zero elsewhere); exits
     nonzero if any exact value misses its bound."""
     model = io.load_model(model_path)
-    joint = exact_joint(model)
+    with _spec_errors():
+        joint = exact_joint(model)
     checks = {rec["node"]: rec for rec in verify_payoff_bounds(model, alpha, joint)}
     if node is not None and node not in checks:
         where = "isolated" if 0 <= node < model.n else f"outside 0..{model.n - 1}"
@@ -299,10 +318,9 @@ def cmd_run_experiment(n, r, max_degree, max_arity, alpha, beta, density, trials
         n=n, r=r, max_degree=max_degree, max_arity=max_arity,
         alpha=alpha, beta=beta, hyperedge_density=density, seed=seed,
     )
+    config = _learn_config(r=r, tau=tau, budget=budget)
     with _spec_errors():
-        report = run_experiment(
-            spec, LearnConfig(r, tau, budget), trials, mode, m, seed, reveal_prob
-        )
+        report = run_experiment(spec, config, trials, mode, m, seed, reveal_prob)
     _emit(report.to_json_dict(), out)
 
 

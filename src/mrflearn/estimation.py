@@ -294,6 +294,14 @@ def log10_required_samples_full(
     return log_m / math.log(10.0)
 
 
+def _from_log10(log10_m: float) -> int:
+    """ceil(10 ** log10_m); past float range, OverflowError naming log10(m)."""
+    try:
+        return math.ceil(10.0**log10_m)
+    except OverflowError:
+        raise OverflowError(f"sample bound exceeds float range; log10(m) = {log10_m:.6g}") from None
+
+
 def required_samples_full(
     ell: float, eps: float, omega: float, n: int, k_max: int, r: int, delta: float
 ) -> int:
@@ -309,26 +317,21 @@ def required_samples_full(
             / (eps**2 * delta ** (2.0 * ell))
             * _log_bracket(ell, omega, n, k_max, r)
         )
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        log10_m = log10_required_samples_full(ell, eps, omega, n, k_max, r, delta)
-        raise OverflowError(f"sample bound exceeds float range; log10(m) = {log10_m:.6g}")
-    return math.ceil(value)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf  # a factor left float range; the log form decides
+    if math.isfinite(value):
+        return math.ceil(value)
+    return _from_log10(log10_required_samples_full(ell, eps, omega, n, k_max, r, delta))
 
 
-def _erased_inner_bound(
-    budget: float, tau: float, omega: float, n: int, k_max: int, r: int, delta: float
-) -> float:
-    try:
-        return (
-            60.0
-            * k_max ** (2.0 * budget)
-            / (tau**2 * delta ** (2.0 * budget))
-            * _log_bracket(budget, omega / 2.0, n, k_max, r)
+def _erased_outer(outer: float) -> float:
+    """The erased bound's outer bracket, which must be positive."""
+    if not outer > 0:
+        raise ValueError(
+            "erased sample bound undefined: its outer bracket budget*ln(n) + "
+            f"ln(budget) + ln(2*inner/omega) = {outer:.6g} is not positive"
         )
-    except OverflowError:
-        return math.inf
+    return outer
 
 
 def log10_required_samples_erased(
@@ -351,9 +354,9 @@ def log10_required_samples_erased(
         - 2 * budget * math.log(delta)
         + math.log(_log_bracket(budget, omega / 2.0, n, k_max, r))
     )
-    log_outer = math.log(
+    log_outer = math.log(_erased_outer(
         budget * math.log(n) + math.log(budget) + math.log(2.0 / omega) + log_inner
-    )
+    ))
     return (log_inner + log_outer - 2 * math.log(reveal_prob)) / math.log(10.0)
 
 
@@ -371,16 +374,21 @@ def required_samples_erased(
     probability a cell survives the channel."""
     if min(budget, tau, omega, n, k_max, r, delta, reveal_prob) <= 0:
         raise ValueError("all parameters must be positive")
-    inner = _erased_inner_bound(budget, tau, omega, n, k_max, r, delta)
-    if math.isfinite(inner):
-        value = (
-            inner
-            * (budget * math.log(n) + math.log(budget) + math.log(2.0 * inner / omega))
-            / reveal_prob**2
+    try:
+        inner = (
+            60.0
+            * k_max ** (2.0 * budget)
+            / (tau**2 * delta ** (2.0 * budget))
+            * _log_bracket(budget, omega / 2.0, n, k_max, r)
         )
-        if math.isfinite(value):
-            return math.ceil(value)
-    log10_m = log10_required_samples_erased(
-        budget, tau, omega, n, k_max, r, delta, reveal_prob
+        outer = _erased_outer(
+            budget * math.log(n) + math.log(budget) + math.log(2.0 * inner / omega)
+        )
+        value = inner * outer / reveal_prob**2
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf  # a factor left float range; the log form decides
+    if math.isfinite(value):
+        return math.ceil(value)
+    return _from_log10(
+        log10_required_samples_erased(budget, tau, omega, n, k_max, r, delta, reveal_prob)
     )
-    raise OverflowError(f"sample bound exceeds float range; log10(m) = {log10_m:.6g}")

@@ -3,10 +3,11 @@
 For each target node u the learner grows a candidate set S: while the
 size budget allows and some probe set I (|I| < r) shows estimated
 coupling nu_hat(u, I | S) above the threshold tau, the best-scoring I
-is merged into S.  A pruning pass then drops every member whose
-singleton coupling against the rest of S falls below tau.  Edges of the
-recovered graph require mutual inclusion of the two endpoint
-neighborhoods; one-sided detections are surfaced as warnings.
+is merged into S.  A pruning pass then drops every member i whose
+probe sets (i alone, or with set pruning each I of S containing i) all
+score below tau against the rest of S.  Edges of the recovered graph
+require mutual inclusion of the two endpoint neighborhoods; one-sided
+detections are surfaced as warnings.
 
 ``LearnConfig`` holds the five values the learner reads: r, tau, the
 budget L, set-valued pruning and the erased mode's coverage floor;
@@ -62,6 +63,12 @@ class LearnConfig:
     budget: float  # candidate-set size budget; the greedy loop runs while |S| <= budget
     prune_sets: bool = False
     coverage_floor: int = 1
+
+    def __post_init__(self):
+        for name in ("tau", "budget"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"invalid {name!r}: need a finite number >= 0, got {value!r}")
 
     @classmethod
     def from_model(
@@ -212,12 +219,6 @@ class NuEstimator:
         return out
 
 
-def _candidate_sets(n: int, excluded: set[int], max_size: int):
-    pool = [v for v in range(n) if v not in excluded]
-    for size in range(1, max_size + 1):
-        yield from itertools.combinations(pool, size)
-
-
 def mrf_nbhd(
     estimator: NuEstimator, u: int, n_nodes: int, config: LearnConfig
 ) -> NeighborhoodResult:
@@ -227,58 +228,38 @@ def mrf_nbhd(
     r-1 fresh nodes has nu_hat(u, I | S) > tau, merge the maximiser
     (ties broken lexicographically); one estimator call scores a round's
     candidates against the current S.  Pruning step: against the grown
-    S, drop each i with nu_hat(u, i | S without i) < tau; with prune_sets,
-    i survives if any subset of S containing it clears tau instead.
+    S, i survives if some probe set I of S containing i has
+    nu_hat(u, I | S without I) >= tau; the probe sets are {i} alone, or
+    with prune_sets every such I of at most r-1 nodes, smallest first.
     """
     tau = config.tau
-    budget = config.budget
     result = NeighborhoodResult(node=u, neighbors=())
     grown: list[int] = []
     start_evals = estimator.evaluations
-    exhausted = False
-    while True:
-        if len(grown) > budget:
-            exhausted = True
+    while len(grown) <= config.budget:
+        pool = [v for v in range(n_nodes) if v != u and v not in grown]
+        cands = [c for size in range(1, config.r) for c in itertools.combinations(pool, size)]
+        values = estimator(u, cands, tuple(grown))
+        above = [(-value, cand) for cand, value in zip(cands, values) if value > tau]
+        if not above:
             break
-        best_set, best_value = None, -math.inf
-        cands = list(_candidate_sets(n_nodes, {u, *grown}, config.r - 1))
-        for cand, value in zip(cands, estimator(u, cands, tuple(grown))):
-            if value > tau and (
-                value > best_value
-                or (value == best_value and (best_set is None or cand < best_set))
-            ):
-                best_set, best_value = cand, value
-        if best_set is None:
-            break
-        grown = sorted(set(grown) | set(best_set))
-        result.trace.append(("add", best_set, best_value))
-    if exhausted:
+        neg_value, best = min(above)
+        grown = sorted({*grown, *best})
+        result.trace.append(("add", best, -neg_value))
+    else:
         result.warnings.append(
-            f"growth budget exhausted at |S|={len(grown)} > {budget:g}; "
+            f"growth budget exhausted at |S|={len(grown)} > {config.budget:g}; "
             "estimates may not be uniformly accurate"
         )
+    sizes = range(1, config.r) if config.prune_sets else (1,)
     survivors = []
     for i in grown:
-        rest = tuple(v for v in grown if v != i)
-        if config.prune_sets:
-            kept = False
-            value = 0.0
-            for size in range(1, config.r):
-                for cand in itertools.combinations(grown, size):
-                    if i not in cand:
-                        continue
-                    cond = tuple(v for v in grown if v not in cand)
-                    (value,) = estimator(u, [cand], cond)
-                    if value >= tau:
-                        kept = True
-                        break
-                if kept:
-                    break
-        else:
-            (value,) = estimator(u, [(i,)], rest)
-            kept = value >= tau
-        if kept:
-            survivors.append(i)
+        probes = [c for size in sizes for c in itertools.combinations(grown, size) if i in c]
+        for cand in probes:
+            (value,) = estimator(u, [cand], tuple(v for v in grown if v not in cand))
+            if value >= tau:
+                survivors.append(i)
+                break
         else:
             result.trace.append(("prune", (i,), value))
     result.neighbors = tuple(survivors)
@@ -286,30 +267,25 @@ def mrf_nbhd(
     return result
 
 
-def _assemble(per_node: dict[int, NeighborhoodResult]) -> GraphResult:
-    """Edges by mutual inclusion; one-sided detections become warnings."""
-    edges = set()
-    warnings = []
-    for u in sorted(per_node):
-        for v in per_node[u].neighbors:
-            pair = (min(u, v), max(u, v))
-            if u in per_node[v].neighbors:
-                edges.add(pair)
-            else:
-                warnings.append(f"asymmetric detection: {u} -> {v} only")
-    for u in sorted(per_node):
-        warnings.extend(f"node {u}: {w}" for w in per_node[u].warnings)
-    return GraphResult(edges=edges, per_node=per_node, warnings=warnings)
-
-
 def learn_graph(estimator: NuEstimator, n_nodes: int, config: LearnConfig) -> GraphResult:
-    """Run the neighborhood learner at every node and assemble the graph;
-    a node's coverage events become its warnings."""
+    """Run the neighborhood learner at every node and assemble the graph.
+    An edge needs mutual inclusion of its endpoints' neighborhoods; each
+    one-sided detection and each node's coverage events become warnings."""
     per_node = {}
     for u in range(n_nodes):
         per_node[u] = mrf_nbhd(estimator, u, n_nodes, config)
         per_node[u].warnings.extend(estimator.drain_events())
-    return _assemble(per_node)
+    edges = set()
+    warnings = []
+    for u, res in per_node.items():
+        for v in res.neighbors:
+            if u in per_node[v].neighbors:
+                edges.add((min(u, v), max(u, v)))
+            else:
+                warnings.append(f"asymmetric detection: {u} -> {v} only")
+    for u, res in per_node.items():
+        warnings.extend(f"node {u}: {w}" for w in res.warnings)
+    return GraphResult(edges=edges, per_node=per_node, warnings=warnings)
 
 
 def learn_graph_full(samples: SampleSet, config: LearnConfig) -> GraphResult:

@@ -128,12 +128,7 @@ def _conditional_tables(model: MarkovRandomField):
             for v, s in zip(nbrs, states):
                 scratch[v] = s
             rows[code] = conditional_distribution(model, u, scratch)
-        strides = []
-        acc = 1
-        for k in reversed(shape):
-            strides.append(acc)
-            acc *= k
-        strides.reverse()
+        strides = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
         tables.append((nbrs, strides, np.cumsum(rows, axis=1)))
     return tables
 

@@ -277,8 +277,14 @@ def test_a_malformed_sample_file_is_a_usage_error(tmp_path):
     (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "3", "--mode", "erased",
       "--reveal-prob", "1.5"], "--reveal-prob"),
     (["verify-bounds", "--models", "0"], "--models"),
+    (["verify-bounds", "--max-cond-size", "-1"], "--max-cond-size"),
+    (["learn", "--tau", "nan", "-L", "3"], "tau"),
+    (["learn", "--mode", "queried", "--tau", "0.05", "-L", "-1"], "budget"),
+    (["run-experiment", "--n", "4", "--tau", "-1", "-L", "3"], "tau"),
+    (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "inf"], "budget"),
 ], ids=["sample-m", "burn-in", "thinning", "erase-reveal-prob", "m-batch", "trials",
-        "experiment-m", "experiment-reveal-prob", "verify-models"])
+        "experiment-m", "experiment-reveal-prob", "verify-models", "max-cond-size",
+        "learn-tau", "learn-budget", "experiment-tau", "experiment-budget"])
 def test_out_of_range_counts_and_probabilities_are_usage_errors(tmp_path, command, option):
     model_path = _save_weak_pair_with_isolated_node(tmp_path)
     samples = tmp_path / "samples.txt"
@@ -294,3 +300,37 @@ def test_out_of_range_counts_and_probabilities_are_usage_errors(tmp_path, comman
     assert res.exit_code == 2, res.output
     assert f"'{option}'" in res.output
     assert not (tmp_path / "out.txt").exists()
+
+
+def _save_model_past_the_enumeration_cap(tmp_path):
+    """26 binary nodes: 2^26 configurations, over the 2^24 cap."""
+    path = str(tmp_path / "big.json")
+    io.save_model(MarkovRandomField(26, (2,) * 26, {}, r=2), path)
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--m", "5", "--out", "out.txt"],
+    ["play-game", "--rounds", "10"],
+    ["learn", "--mode", "queried", "--tau", "0.05", "-L", "3"],
+    ["run-experiment", "--n", "26", "--tau", "0.05", "-L", "3"],
+], ids=["sample", "play-game", "learn-queried", "run-experiment"])
+def test_a_model_past_the_enumeration_cap_is_a_usage_error(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    if command[0] != "run-experiment":
+        command = command + ["--model", _save_model_past_the_enumeration_cap(tmp_path)]
+    res = CliRunner().invoke(main, command)
+    assert res.exit_code == 2, res.output
+    assert "67108864 configurations exceed the exact-inference cap" in res.output
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_learn_rejects_a_model_whose_arities_differ_from_the_samples(tmp_path):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    samples = tmp_path / "samples.txt"
+    samples.write_text("n=4 arities=2,3,2,2 seed=0\n1 2 1 1\n2 3 1 2\n")
+    res = CliRunner().invoke(main, [
+        "learn", "--samples", str(samples), "--model", model_path, "--tau", "0.05", "-L", "3",
+    ])
+    assert res.exit_code == 2, res.output
+    assert "[2, 3, 2, 2]" in res.output and "[2, 2, 2]" in res.output

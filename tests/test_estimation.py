@@ -19,6 +19,7 @@ from mrflearn import (
     erase,
     exact_joint,
     exact_nu,
+    log10_required_samples_erased,
     log10_required_samples_full,
     marginal,
     nu_from_marginals,
@@ -443,6 +444,23 @@ def test_required_samples_overflow_reports_log10():
     with pytest.raises(OverflowError, match="log10"):
         required_samples_full(1e4, 0.01, 0.01, 100, 2, 2, 0.01)
     assert log10_required_samples_full(1e4, 0.01, 0.01, 100, 2, 2, 0.01) > 300
+
+
+def test_required_samples_report_log10_when_delta_power_underflows():
+    # delta ** (2 ell) underflows to zero while k ** (2 ell) stays finite
+    with pytest.raises(OverflowError, match="log10"):
+        required_samples_full(100, 0.1, 0.05, 10, 2, 2, 1e-4)
+    with pytest.raises(OverflowError, match="log10"):
+        required_samples_erased(100, 0.1, 0.05, 10, 2, 2, 1e-4, 0.9)
+
+
+def test_required_samples_erased_rejects_a_negative_outer_bracket():
+    # a tiny inner bound leaves budget*ln(n) + ln(budget) + ln(2*inner/omega) < 0
+    args = (0.5, 784.39, 0.6185, 22, 5, 2, 0.187, 0.2045)
+    with pytest.raises(ValueError, match="outer bracket"):
+        required_samples_erased(*args)
+    with pytest.raises(ValueError, match="outer bracket"):
+        log10_required_samples_erased(*args)
 
 
 def test_required_samples_erased_dominates_full():

@@ -1,5 +1,7 @@
 import importlib
+import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 
 from mrflearn import (
     ERASED,
+    EmpiricalDistribution,
     GeneratorSpec,
     LearnConfig,
+    NeighborhoodResult,
     NuEstimator,
     QueryCapacityError,
     QueryOracle,
@@ -19,6 +23,7 @@ from mrflearn import (
     exact_conditional_mi,
     exact_joint,
     generate_model,
+    learn_graph,
     learn_graph_erased,
     learn_graph_exact,
     learn_graph_full,
@@ -85,6 +90,15 @@ def test_config_defaults_follow_the_formulas(ising_pair):
     # the default budget is taken at the effective tau
     tau_only = LearnConfig.from_model(ising_pair, 0.5, override_tau=0.05)
     assert tau_only.budget == pytest.approx((8.0 / 0.05**2) * math.log(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", -0.01), ("tau", math.nan), ("tau", math.inf),
+    ("budget", -1), ("budget", math.nan), ("budget", math.inf),
+])
+def test_config_rejects_a_negative_or_non_finite_tau_or_budget(field, value):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        LearnConfig(**({"r": 2, "tau": 0.05, "budget": 3} | {field: value}))
 
 
 # ---------------------------------------------------------------- single-node runs
@@ -336,6 +350,143 @@ def test_prune_sets_mode_on_higher_order_model():
     config = exact_config(model, prune_sets=True)
     result = learn_graph_exact(exact_joint(model), config)
     assert result.edges == set(clique_graph(model).edges)
+
+
+# ---------------------------------------------------------------- differential check
+
+
+def _reference_mrf_nbhd(estimator, u, n_nodes, config):
+    """The per-node loop as it was before growth took one ``min`` and
+    singleton pruning became set pruning at size 1: a hand-rolled argmax
+    with an exhaustion flag, and a separate singleton prune branch."""
+    tau = config.tau
+    budget = config.budget
+    result = NeighborhoodResult(node=u, neighbors=())
+    grown = []
+    start_evals = estimator.evaluations
+    exhausted = False
+    while True:
+        if len(grown) > budget:
+            exhausted = True
+            break
+        best_set, best_value = None, -math.inf
+        pool = [v for v in range(n_nodes) if v not in {u, *grown}]
+        cands = [c for size in range(1, config.r) for c in itertools.combinations(pool, size)]
+        for cand, value in zip(cands, estimator(u, cands, tuple(grown))):
+            if value > tau and (
+                value > best_value
+                or (value == best_value and (best_set is None or cand < best_set))
+            ):
+                best_set, best_value = cand, value
+        if best_set is None:
+            break
+        grown = sorted(set(grown) | set(best_set))
+        result.trace.append(("add", best_set, best_value))
+    if exhausted:
+        result.warnings.append(
+            f"growth budget exhausted at |S|={len(grown)} > {budget:g}; "
+            "estimates may not be uniformly accurate"
+        )
+    survivors = []
+    for i in grown:
+        rest = tuple(v for v in grown if v != i)
+        if config.prune_sets:
+            kept = False
+            value = 0.0
+            for size in range(1, config.r):
+                for cand in itertools.combinations(grown, size):
+                    if i not in cand:
+                        continue
+                    cond = tuple(v for v in grown if v not in cand)
+                    (value,) = estimator(u, [cand], cond)
+                    if value >= tau:
+                        kept = True
+                        break
+                if kept:
+                    break
+        else:
+            (value,) = estimator(u, [(i,)], rest)
+            kept = value >= tau
+        if kept:
+            survivors.append(i)
+        else:
+            result.trace.append(("prune", (i,), value))
+    result.neighbors = tuple(survivors)
+    result.evaluations = estimator.evaluations - start_evals
+    return result
+
+
+def _reference_assemble(per_node):
+    """Graph assembly as the separate helper did it before."""
+    edges = set()
+    warnings = []
+    for u in sorted(per_node):
+        for v in per_node[u].neighbors:
+            pair = (min(u, v), max(u, v))
+            if u in per_node[v].neighbors:
+                edges.add(pair)
+            else:
+                warnings.append(f"asymmetric detection: {u} -> {v} only")
+    for u in sorted(per_node):
+        warnings.extend(f"node {u}: {w}" for w in per_node[u].warnings)
+    return edges, warnings
+
+
+def _hashed_kernel(u, groups, cond):
+    """Pseudo-random nu values keyed by the query, shrinking with |S| and
+    on a 0.01 grid, so that growth meets ties and pruning drops members."""
+    return [
+        (round(random.Random(repr((u, g, cond))).random() * 0.2 / (1 + len(cond)), 2), 100)
+        for g in groups
+    ]
+
+
+def _differential_kernels(r):
+    model = generate_model(GeneratorSpec(
+        n=6, r=r, max_degree=4 if r == 3 else 3, max_arity=2, alpha=0.3, seed=19 if r == 3 else 8
+    ))
+    joint = exact_joint(model)
+    full = EmpiricalDistribution(sample_exact(joint, 400, seed=3))
+    erased = EmpiricalDistribution(erase(sample_exact(joint, 600, seed=4), 0.7, seed=5))
+    return model.n, {
+        "exact": lambda: NuEstimator.exact(joint),
+        "full": lambda: NuEstimator.full(full),
+        "erased": lambda: NuEstimator.erased(erased, coverage_floor=150),
+        "hashed": lambda: NuEstimator(_hashed_kernel),
+    }
+
+
+@pytest.mark.parametrize("prune_sets", [False, True])
+@pytest.mark.parametrize("r", [2, 3])
+def test_mrf_nbhd_matches_the_reference_loop(r, prune_sets):
+    n, kernels = _differential_kernels(r)
+    for kind, make in kernels.items():
+        for tau, budget in [(1e-4, n), (0.004, 2), (0.035, 1), (0.05, n), (0.065, 0)]:
+            config = LearnConfig(r=r, tau=tau, budget=budget, prune_sets=prune_sets)
+            runs = {}
+            for name, learner in (("ref", _reference_mrf_nbhd), ("new", mrf_nbhd)):
+                estimator = make()
+                calls = []
+                kernel = estimator.kernel
+
+                def logged(u, groups, cond, kernel=kernel, calls=calls):
+                    calls.append((u, list(groups), cond))
+                    return kernel(u, groups, cond)
+
+                estimator.kernel = logged
+                per_node = {}
+                for u in range(n):
+                    per_node[u] = learner(estimator, u, n, config)
+                    per_node[u].warnings.extend(estimator.drain_events())
+                runs[name] = (per_node, calls, estimator.evaluations)
+            (ref, ref_calls, ref_evals), (new, new_calls, new_evals) = runs.values()
+            where = (kind, tau, budget)
+            assert new_calls == ref_calls, where
+            assert new_evals == ref_evals, where
+            for u in range(n):
+                assert new[u].to_json_dict() == ref[u].to_json_dict(), (where, u)
+            graph = learn_graph(make(), n, config)
+            assert (graph.edges, graph.warnings) == _reference_assemble(ref), where
 
 
 @pytest.mark.parametrize("module, name", [

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,16 +8,18 @@ import pytest
 from mrflearn import (
     CliqueTensor,
     ERASED,
+    GeneratorSpec,
     MarkovRandomField,
     SampleSet,
     erase,
     exact_joint,
+    generate_model,
     gibbs_sample,
     sample_exact,
     spawn_rng,
 )
 
-from mrflearn.sampling import inverse_cdf_sampler
+from mrflearn.sampling import _conditional_tables, inverse_cdf_sampler
 
 from conftest import ising_tensor
 
@@ -157,6 +161,30 @@ def test_gibbs_parameter_validation(ising_pair):
         gibbs_sample(ising_pair, 10, burn_in=0, thinning=1, seed=0)
     with pytest.raises(ValueError):
         gibbs_sample(ising_pair, 0, burn_in=1, thinning=1, seed=0)
+
+
+def test_gibbs_neighbor_codes_are_mixed_radix():
+    # the strides number each neighbor configuration by its position in
+    # itertools.product order, the order its conditional row was filled
+    model = generate_model(GeneratorSpec(n=6, r=2, max_degree=3, max_arity=3, alpha=0.3, seed=4))
+    for nbrs, strides, cdf in _conditional_tables(model):
+        shape = [model.arities[v] for v in nbrs]
+        codes = [sum(s * x for s, x in zip(strides, states))
+                 for states in itertools.product(*[range(k) for k in shape])]
+        assert codes == list(range(len(cdf)))
+
+
+@pytest.mark.parametrize("r, max_arity, max_degree, seed, digest", [
+    (2, 3, 3, 4, "3a3cab52089c63845264410af1416c2d5d4b57c0ce48d1f961d2d50685c60dcc"),
+    (3, 2, 4, 19, "1ae8dba3c80ae619ac9af22de18a4f96660823d40ffd8f0849e0e052f7de37d5"),
+])
+def test_gibbs_rows_are_frozen(r, max_arity, max_degree, seed, digest):
+    # recorded before the neighbor strides became math.prod of the tail
+    model = generate_model(GeneratorSpec(
+        n=6, r=r, max_degree=max_degree, max_arity=max_arity, alpha=0.3, seed=seed
+    ))
+    rows = gibbs_sample(model, 300, burn_in=20, thinning=2, seed=9).data
+    assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_gibbs_deterministic(ising_pair):
