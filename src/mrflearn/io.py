@@ -4,7 +4,16 @@ Model files carry tensors as row-major flat value lists (JSON floats
 round-trip at full precision).  Sample files are line oriented: a header
 ``n=<n> arities=<csv> seed=<u64>`` then one row per sample with 1-based
 states in plain decimal and ``?`` for erased cells.  No other spelling
-of a state (``01``, ``+1``, ``1_0``, non-ASCII digits) is read.
+of a state (``01``, ``+1``, ``1_0``, non-ASCII digits) is read.  The
+token table (``_state_tokens``) is the one definition of these cell
+spellings.
+
+When every arity is at most 9 each spelling is one byte, so the file is
+fixed width: every row is exactly 2n bytes, ``c c ... c`` and a newline.
+That layout is written from one byte buffer and read without tokenising,
+through a byte view of the token table; any other input (wide arities,
+blank lines, other whitespace, bad cells) is read line by line through
+the token table, which raises every error.
 """
 
 from __future__ import annotations
@@ -71,17 +80,48 @@ def _state_tokens(arities: tuple[int, ...]) -> list[str]:
     return ["?"] + [str(s) for s in range(1, max(arities, default=0) + 1)]
 
 
+def _fixed_width_alphabet(arities: tuple[int, ...]) -> bytes | None:
+    """The token table as one byte per cell spelling (indexed by state -
+    ERASED), or None when the file is not fixed width: some spelling is
+    wider than one byte (an arity above 9), or there are no columns."""
+    tokens = _state_tokens(arities)
+    if not arities or any(len(token) != 1 for token in tokens):
+        return None
+    return "".join(tokens).encode("ascii")
+
+
+def _table_rows(samples: SampleSet) -> str:
+    """The rows of a sample file, each cell spelled through the token table."""
+    tokens = np.array(_state_tokens(samples.arities), dtype=object)
+    return "".join(f"{row}\n" for row in map(" ".join, tokens[samples.data - ERASED].tolist()))
+
+
+def _fixed_width_rows(samples: SampleSet, alphabet: bytes) -> str:
+    """The rows of a sample file as one (m, 2n) byte buffer: a cell byte in
+    each even column, a space in each odd one and a newline last."""
+    rows = np.full((samples.m, 2 * samples.n), ord(" "), dtype=np.uint8)
+    rows[:, 0::2] = np.frombuffer(alphabet, dtype=np.uint8)[samples.data - ERASED]
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().decode("ascii")
+
+
 def samples_to_text(samples: SampleSet) -> str:
     header = "n={} arities={} seed={}".format(
         samples.n, ",".join(str(k) for k in samples.arities), samples.seed
     )
-    tokens = np.array(_state_tokens(samples.arities), dtype=object)
-    rows = map(" ".join, tokens[samples.data - ERASED].tolist())
-    return "\n".join([header, *rows]) + "\n"
+    alphabet = _fixed_width_alphabet(samples.arities)
+    rows = _table_rows(samples) if alphabet is None else _fixed_width_rows(samples, alphabet)
+    return f"{header}\n{rows}"
 
 
 #: the state of a cell whose token is not in the token table
 _INVALID = ERASED - 1
+
+
+def _bad_cells(data: np.ndarray, arities: tuple[int, ...]) -> np.ndarray:
+    """Cells whose token is not in the token table or names a state at or
+    above its column's arity."""
+    return (data == _INVALID) | (data >= np.array(arities))
 
 
 def _header(line: str) -> tuple[int, tuple[int, ...], int]:
@@ -109,12 +149,35 @@ def _header(line: str) -> tuple[int, tuple[int, ...], int]:
     return n, arities, seed
 
 
-def samples_from_text(text: str) -> SampleSet:
-    """Parse a sample file; a header with no rows is an empty sample set.
+def _samples_from_fixed_width(text: str) -> SampleSet | None:
+    """Read a file in the fixed-width layout without tokenising it, or
+    return None when the text is not exactly that layout (or holds a cell
+    outside the token table) so that the token-table reader decides."""
+    header, newline, body = text.partition("\n")
+    if not newline or header.splitlines() != [header] or not header.strip():
+        return None
+    # the token-table reader takes this same line as the header, so a bad
+    # header raises the same error on either path
+    n, arities, seed = _header(header)
+    alphabet = _fixed_width_alphabet(arities)
+    if alphabet is None or not body.isascii() or len(body) % (2 * n):
+        return None
+    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, 2 * n)
+    separators = np.full(n, ord(" "), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    if not (rows[:, 1::2] == separators).all():
+        return None
+    states = np.full(256, _INVALID, dtype=np.int64)
+    states[np.frombuffer(alphabet, dtype=np.uint8)] = np.arange(ERASED, ERASED + len(alphabet))
+    data = states[rows[:, 0::2]]
+    if _bad_cells(data, arities).any():
+        return None
+    return SampleSet(data, arities, seed=seed)
 
-    Errors name the offending header field, or the row and column (both
-    counted from 1) of a malformed cell.
-    """
+
+def _samples_from_table(text: str) -> SampleSet:
+    """Read a sample file line by line through the token table: any
+    arity and any whitespace between cells; every error is raised here."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty sample file")
@@ -128,7 +191,7 @@ def samples_from_text(text: str) -> SampleSet:
     data = np.fromiter(
         map(states.get, cells, itertools.repeat(_INVALID)), np.int64, len(rows) * n
     ).reshape(len(rows), n)
-    bad = np.argwhere((data == _INVALID) | (data >= np.array(arities)))
+    bad = np.argwhere(_bad_cells(data, arities))
     if bad.size:
         i, j = (int(x) for x in bad[0])
         raise ValueError(
@@ -136,6 +199,16 @@ def samples_from_text(text: str) -> SampleSet:
             f"or a state in 1..{arities[j]}"
         )
     return SampleSet(data, arities, seed=seed)
+
+
+def samples_from_text(text: str) -> SampleSet:
+    """Parse a sample file; a header with no rows is an empty sample set.
+
+    Errors name the offending header field, or the row and column (both
+    counted from 1) of a malformed cell.
+    """
+    samples = _samples_from_fixed_width(text)
+    return samples if samples is not None else _samples_from_table(text)
 
 
 def save_samples(samples: SampleSet, path: str | Path) -> None:

@@ -327,7 +327,8 @@ def learn_graph_queried(
 
     The oracle capacity must cover a conditioning set at the budget plus
     one full probe set; total consumption is checked against the
-    m_batch * L * r * n^r query budget.
+    m_batch * (floor(L) + 1) * r * n^r query budget, floor(L) + 1 being
+    the growth rounds the learner can run.
     """
     if oracle.capacity < config.query_capacity:
         raise QueryCapacityError(
@@ -335,7 +336,7 @@ def learn_graph_queried(
         )
     estimator = NuEstimator.queried(oracle, arities, m_batch)
     result = learn_graph(estimator, n_nodes, config)
-    query_budget = m_batch * config.budget * config.r * n_nodes**config.r
+    query_budget = m_batch * (math.floor(config.budget) + 1) * config.r * n_nodes**config.r
     if oracle.consumed > query_budget:
         raise RuntimeError(
             f"query accounting violated: consumed {oracle.consumed} > budget {query_budget:g}"

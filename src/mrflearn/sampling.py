@@ -57,11 +57,10 @@ class SampleSet:
             raise ValueError("sample data must be an m-by-n matrix")
         if data.shape[1] != len(self.arities):
             raise ValueError("column count must match arities")
-        for j, k in enumerate(self.arities):
-            col = data[:, j]
-            bad = (col != ERASED) & ((col < 0) | (col >= k))
-            if bad.any():
-                raise ValueError(f"out-of-range state in column {j}")
+        bad = (data != ERASED) & ((data < 0) | (data >= np.array(self.arities)))
+        if bad.any():
+            j = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise ValueError(f"out-of-range state in column {j}")
         data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)

@@ -77,6 +77,17 @@ def test_learn_queried_mode(tmp_path):
     assert payload["accounting"]["max_query_size"] <= 3 + 2
 
 
+def test_learn_queried_mode_at_budget_zero(tmp_path):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    res = CliRunner().invoke(main, [
+        "learn", "--model", model_path, "--mode", "queried",
+        "--tau", "0.05", "-L", "0", "--m-batch", "100",
+    ])
+    assert res.exit_code == 0, res.output
+    accounting = json.loads(res.output)["accounting"]
+    assert 0 < accounting["samples_consumed"] <= accounting["query_budget"]
+
+
 def test_verify_bounds_command():
     runner = CliRunner()
     res = runner.invoke(main, [

@@ -136,6 +136,87 @@ def test_samples_header_only_is_an_empty_sample_set():
     assert back.arities == empty.arities and back.seed == 5
 
 
+def _random_samples(rng, arities, m, erased_share):
+    data = np.stack([rng.integers(k, size=m) for k in arities], axis=1)
+    data = np.where(rng.random(data.shape) < erased_share, ERASED, data)
+    return SampleSet(data, arities, seed=int(rng.integers(2**63)))
+
+
+def _read_outcome(read, text):
+    try:
+        samples = read(text)
+    except ValueError as err:
+        return str(err)
+    return samples.data.tolist(), samples.arities, samples.seed
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("m", [0, 1, 300])
+@pytest.mark.parametrize("erased_share", [0.0, 0.3])
+def test_fixed_width_text_matches_the_token_table(k, m, erased_share):
+    from mrflearn.io import (
+        _samples_from_fixed_width,
+        _samples_from_table,
+        _table_rows,
+        samples_to_text,
+    )
+
+    rng = np.random.default_rng([k, m, int(10 * erased_share)])
+    for n in (1, 2, 7):
+        arities = (*(int(a) for a in rng.integers(1, k + 1, size=n - 1)), k)
+        samples = _random_samples(rng, arities, m, erased_share)
+        text = samples_to_text(samples)
+        header, _, rows = text.partition("\n")
+        assert rows == _table_rows(samples) and len(rows) == m * 2 * n
+        want = (samples.data.tolist(), arities, samples.seed)
+        assert _read_outcome(_samples_from_fixed_width, text) == want
+        assert _read_outcome(_samples_from_table, text) == want
+
+
+#: single characters the mutations insert or write: cells, separators, every
+#: str.splitlines break in ASCII, and bytes outside the format
+_MUTATION_CHARS = "0123456789? \n\r\t\x0b\x0cx+-"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fixed_width_reader_agrees_with_the_token_table_on_mutated_files(seed):
+    from mrflearn.io import _samples_from_table, samples_from_text, samples_to_text
+
+    rng = np.random.default_rng(seed)
+    k, n, m = int(rng.integers(1, 10)), int(rng.integers(1, 6)), int(rng.integers(0, 8))
+    arities = (*(int(a) for a in rng.integers(1, k + 1, size=n - 1)), k)
+    text = samples_to_text(_random_samples(rng, arities, m, 0.2))
+    for _ in range(20):
+        pos = int(rng.integers(len(text)))
+        char = _MUTATION_CHARS[rng.integers(len(_MUTATION_CHARS))]
+        kind = rng.integers(3)
+        if kind == 0:  # insert
+            mutated = text[:pos] + char + text[pos:]
+        elif kind == 1:  # delete
+            mutated = text[:pos] + text[pos + 1:]
+        else:  # replace
+            mutated = text[:pos] + char + text[pos + 1:]
+        assert _read_outcome(samples_from_text, mutated) == _read_outcome(
+            _samples_from_table, mutated
+        ), repr(mutated)
+
+
+@pytest.mark.parametrize("arities, table_reads", [((2, 9, 3), 0), ((2, 10, 3), 1)])
+def test_only_wide_arities_take_the_token_table_reader(monkeypatch, arities, table_reads):
+    from mrflearn import io as mlio
+
+    samples = _random_samples(np.random.default_rng(7), arities, 50, 0.2)
+    text = mlio.samples_to_text(samples)
+    assert text == _reference_text(samples)
+    reads = []
+    table = mlio._samples_from_table
+    monkeypatch.setattr(mlio, "_samples_from_table", lambda t: reads.append(t) or table(t))
+    back = mlio.samples_from_text(text)
+    assert len(reads) == table_reads
+    np.testing.assert_array_equal(back.data, samples.data)
+    assert back.arities == arities and back.seed == samples.seed
+
+
 def test_joint_table_roundtrip():
     model = generate_model(GeneratorSpec(n=4, seed=6))
     joint = exact_joint(model)

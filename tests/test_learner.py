@@ -322,6 +322,15 @@ def test_queried_mode_accounting(ising_pair):
     assert acc["samples_consumed"] == 4000 * acc["evaluations"]
 
 
+def test_queried_mode_budget_counts_the_round_run_at_budget_zero(ising_pair):
+    config = exact_config(ising_pair, alpha=0.5, tau=0.05, budget=0)
+    oracle = QueryOracle.from_joint(exact_joint(ising_pair), config.query_capacity, seed=5)
+    result = learn_graph_queried(oracle, 2, ising_pair.arities, config, m_batch=100)
+    acc = result.accounting
+    assert acc["query_budget"] == 100 * (0 + 1) * config.r * 2**config.r
+    assert 0 < acc["samples_consumed"] <= acc["query_budget"]
+
+
 def test_queried_mode_rejects_small_capacity(ising_pair):
     config = exact_config(ising_pair, alpha=0.5, tau=0.05, budget=4)
     oracle = QueryOracle.from_joint(exact_joint(ising_pair), capacity=2, seed=5)

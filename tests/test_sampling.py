@@ -29,6 +29,14 @@ def test_sampleset_rejects_out_of_range():
         SampleSet(np.array([[0, 2]]), (2, 2))
 
 
+def test_sampleset_names_the_first_column_with_an_out_of_range_state():
+    data = np.zeros((3, 4), dtype=np.int64)
+    data[2, 1] = 2  # the first bad column, in the last row
+    data[0, 3] = -2  # a later bad column, in the first row
+    with pytest.raises(ValueError, match=r"^out-of-range state in column 1$"):
+        SampleSet(data, (2, 2, 2, 2))
+
+
 def test_sampleset_accepts_erased_marker():
     s = SampleSet(np.array([[0, ERASED]]), (2, 2))
     assert s.m == 1 and s.n == 2
