@@ -50,7 +50,7 @@ def _spec_errors():
 
 
 def _learn_config(**kw) -> LearnConfig:
-    """The learner's configuration; an out-of-range tau or budget is a usage error."""
+    """The learner's configuration; an out-of-range field is a usage error."""
     try:
         return LearnConfig(**kw)
     except ValueError as exc:
@@ -234,7 +234,7 @@ def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond
         )
         with _spec_errors():
             model = generate_model(spec)
-        joint = exact_joint(model)
+            joint = exact_joint(model)
         payoff = verify_payoff_bounds(model, alpha, joint)
         chain = verify_mi_chain(model, alpha, joint)
         floor = verify_conditioned_floor(model, alpha, max_cond_size, joint)

@@ -6,28 +6,28 @@ nu-hat measures, from samples, how far the joint conditional law of
     nu_hat = mean over states (R, G) of the empirically weighted sum over
     observed x_S of |Phat(u=R, I=G | x_S) - Phat(u=R | x_S) Phat(I=G | x_S)|
 
-Samples are read as compact "extended alphabet" columns: node v's states
-0..k_v - 1 plus one extra state k_v for an erased cell.  One kernel,
-``_count_tables``, serves every estimator: for a fixed (u, S) it labels
-each row once by its conditioning configuration (rows erasing a member
-of S get one extra "dropped" label), then, per probe set I, adds the
-digits of I and u and counts the rows with one bincount.  Slicing off
-the erased state of the I and u axes and the dropped label leaves the
-complete-case (u, I..., S) count table, which ``nu_from_marginals``
-reduces; the count-weighted sum is divided by the number of counted rows
-once at the end.  Conditioning configurations never observed contribute
-zero.
+A stored sample set and a queried batch alike are read as one
+``_extended_block`` of compact columns: node v's states 0..k_v - 1 plus
+one extra state k_v for an erased cell.  One kernel, ``_count_tables``,
+serves every estimator: for a fixed (u, S) it labels each row once by
+its conditioning configuration (rows erasing a member of S get one extra
+"dropped" label), then, per probe set I, adds the digits of I and u and
+counts the rows with one bincount.  Slicing off the erased state of the
+I and u axes and the dropped label leaves the complete-case (u, I..., S)
+count table, which ``inference._nu_of_table`` reduces, as it does the
+exact probability table.  Conditioning configurations never observed
+contribute zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .inference import _check_disjoint, nu_from_marginals
+from .inference import _check_disjoint, _nu_of_table
 from .sampling import ERASED, SampleSet, inverse_cdf_sampler, spawn_rng
 
 
@@ -39,28 +39,31 @@ class QueryCapacityError(ValueError):
     """A bounded query asked for more nodes than the oracle allows."""
 
 
-@dataclass
-class EmpiricalDistribution:
-    """Read-only view of a sample set as extended-alphabet columns.
+def _extended_block(data: np.ndarray, arities: Sequence[int]) -> np.ndarray:
+    """The (n, m) extended-alphabet block of an (m, n) sample matrix.
 
-    Column v holds each row's state of node v, and k_v where the cell is
-    erased, in the smallest unsigned dtype that holds every k_v.  The
-    columns are filled one at a time, so no m-by-n temporary is made, and
+    Row v holds each sample's state of column v, and k_v where the cell
+    is erased, in the smallest unsigned dtype that holds every k_v.  The
+    rows are filled one at a time, so no m-by-n temporary is made, and
     each is contiguous, so an evaluation costs the same however many
     nodes the sample has.
     """
+    # one block: separately allocated columns fragment the heap
+    block = np.empty((len(arities), data.shape[0]), np.min_scalar_type(max(arities, default=0)))
+    for v, k in enumerate(arities):
+        block[v] = data[:, v]
+        block[v][data[:, v] == ERASED] = k
+    return block
+
+
+@dataclass
+class EmpiricalDistribution:
+    """Read-only view of a sample set as its extended-alphabet block."""
 
     samples: SampleSet
 
     def __post_init__(self):
-        data, arities = self.samples.data, self.samples.arities
-        # one block: separately allocated columns fragment the heap
-        self._columns = np.empty(
-            (len(arities), data.shape[0]), np.min_scalar_type(max(arities, default=0))
-        )
-        for v, k in enumerate(arities):
-            self._columns[v] = data[:, v]
-            self._columns[v][data[:, v] == ERASED] = k
+        self._columns = _extended_block(self.samples.data, self.samples.arities)
 
     def column(self, v: int) -> np.ndarray:
         return self._columns[v]
@@ -75,7 +78,7 @@ class EmpiricalDistribution:
 
 
 def _count_tables(
-    column: Callable[[int], np.ndarray],
+    block: np.ndarray,
     arities: tuple[int, ...],
     u: int,
     groups: list[tuple[int, ...]],
@@ -84,7 +87,7 @@ def _count_tables(
     """Complete-case counts of (X_u, X_I, X_S), one table with axes
     (u, I..., S) per probe set I in `groups`, all against one (u, S).
 
-    `column(v)` is node v's extended column (k_v marks an erased cell).
+    Row v of `block` is node v's extended column (k_v marks an erased cell).
     The S label of a row is the mixed-radix code of its conditioning
     states or, when S has more configurations than there are rows, the
     index of that code among the distinct ones, so a table never exceeds
@@ -100,12 +103,12 @@ def _count_tables(
     for group in groups:
         if arities[u] * math.prod(arities[v] for v in group) * n_s > 1 << 62:
             raise ValueError("joint state space too large to code in 64 bits")
-    col_u = column(u)
+    col_u = block[u]
     m = col_u.size
     dropped = np.zeros(m, dtype=bool)
     label = np.zeros(m, dtype=np.int64)
     for v in cond:
-        col = column(v)
+        col = block[v]
         label = label * arities[v] + col
         dropped |= col == arities[v]
     label[dropped] = n_s
@@ -123,23 +126,12 @@ def _count_tables(
         stride = k_u
         for v, k in zip(reversed(group), reversed(k_group)):
             # an int64 stride keeps a compact column's product from wrapping
-            code = code + column(v) * np.int64(stride)
+            code = code + block[v] * np.int64(stride)
             stride *= k
         counts = np.bincount(code, minlength=(n_s + 1) * slab)
         table = counts.reshape((n_s + 1,) + k_group + (k_u,))
         complete = table[(slice(n_s),) + tuple(slice(k - 1) for k in k_group + (k_u,))]
         yield complete.swapaxes(0, -1)
-
-
-def _nu_of_counts(table: np.ndarray) -> tuple[float, int]:
-    """nu-hat from a (u, I..., S) count table and the number of rows it
-    counts; (0.0, 0) when it counts none."""
-    c_us = table.sum(axis=tuple(range(1, table.ndim - 1)))
-    c_s = c_us.sum(axis=0)
-    usable = int(c_s.sum())
-    if usable == 0:
-        return 0.0, 0
-    return nu_from_marginals(table, c_us, table.sum(axis=0), c_s) / usable, usable
 
 
 def nu_hat_sweep(
@@ -150,8 +142,7 @@ def nu_hat_sweep(
 ) -> list[float]:
     """nu_hat for every probe set in `groups` against one (u, S=cond)."""
     values = []
-    for table in _count_tables(emp.column, emp.arities, u, groups, cond):
-        value, usable = _nu_of_counts(table)
+    for value, usable in nu_hat_erased_sweep(emp, u, groups, cond):
         if usable != emp.m:
             raise ValueError("samples contain erasures; use nu_hat_erased")
         if usable == 0:
@@ -177,8 +168,8 @@ def nu_hat_erased_sweep(
     `groups` against one (u, S=cond); a probe set no sample reveals gets
     (0.0, 0)."""
     return [
-        _nu_of_counts(table)
-        for table in _count_tables(emp.column, emp.arities, u, groups, cond)
+        _nu_of_table(table)
+        for table in _count_tables(emp._columns, emp.arities, u, groups, cond)
     ]
 
 
@@ -258,11 +249,12 @@ def nu_hat_queried(
     """nu-hat over one fresh batch obtained through a bounded query."""
     group, cond = _check_disjoint(u, group, cond)
     nodes = tuple(sorted((u,) + group + cond))
-    block = oracle.query(nodes, m_batch)
-    extended = np.where(block == ERASED, [arities[v] for v in nodes], block).T
-    pos = {v: j for j, v in enumerate(nodes)}
-    (table,) = _count_tables(lambda v: extended[pos[v]], arities, u, [group], cond)
-    value, usable = _nu_of_counts(table)
+    sub_arities = [arities[v] for v in nodes]
+    block = _extended_block(oracle.query(nodes, m_batch), sub_arities)
+    row = nodes.index  # u, I and S relabelled to their rows of the block
+    group, cond = tuple(map(row, group)), tuple(map(row, cond))
+    (table,) = _count_tables(block, sub_arities, row(u), [group], cond)
+    value, usable = _nu_of_table(table)
     if usable == 0:
         raise InsufficientCoverageError("no complete samples for this node set")
     return value

@@ -3,9 +3,9 @@
 Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
-learner estimates from samples.  ``nu_from_marginals`` is the one
-reduction behind nu: the exact value and every sample estimate are
-computed by it.
+learner estimates from samples.  Every nu, exact or estimated, is one
+reduction, ``_nu_of_table``, of a (u, I..., S) table with S flattened:
+of probabilities here, of counts in ``estimation``.
 """
 
 from __future__ import annotations
@@ -89,25 +89,23 @@ def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
     return group, cond
 
 
-def _split_uis(
+def _uis_table(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...]
-):
-    """Shared setup: the (u, I..., S...) marginal and its sub-marginals."""
+) -> np.ndarray:
+    """The (u, I..., S) marginal of a validated triple, S flattened to one axis."""
     group, cond = _check_disjoint(u, group, cond)
     table = marginal(joint, (u,) + group + cond)
-    i_axes = tuple(range(1, 1 + len(group)))
-    s_axes = tuple(range(1 + len(group), table.ndim))
-    p_s = table.sum(axis=(0,) + i_axes, keepdims=True)
-    p_us = table.sum(axis=i_axes, keepdims=True)
-    p_is = table.sum(axis=(0,), keepdims=True)
-    return table, p_s, p_us, p_is, i_axes
+    return table.reshape(table.shape[: 1 + len(group)] + (-1,))
 
 
 def exact_conditional_mi(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...] = ()
 ) -> float:
     """I(X_u ; X_group | X_cond) in nats, by direct summation."""
-    table, p_s, p_us, p_is, _ = _split_uis(joint, u, group, cond)
+    table = _uis_table(joint, u, group, cond)
+    p_us = table.sum(axis=tuple(range(1, table.ndim - 1)), keepdims=True)
+    p_is = table.sum(axis=0, keepdims=True)
+    p_s = p_us.sum(axis=0, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = table * p_s / (p_us * p_is)
         terms = np.where(table > 0.0, table * np.log(np.where(table > 0.0, ratio, 1.0)), 0.0)
@@ -143,6 +141,18 @@ def nu_from_marginals(
     return float(dev.sum()) / n_outer
 
 
+def _nu_of_table(table: np.ndarray) -> tuple[float, int | float]:
+    """nu of a (u, I..., S) table of counts or probabilities, S flattened,
+    and the table's total (an int for counts, a float for probabilities)
+    as its weight; (0.0, total) when the total is zero."""
+    p_us = table.sum(axis=tuple(range(1, table.ndim - 1)))
+    p_s = p_us.sum(axis=0)
+    total = p_s.sum().item()
+    if total == 0:
+        return 0.0, total
+    return nu_from_marginals(table, p_us, table.sum(axis=0), p_s) / total, total
+
+
 def exact_nu(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...] = ()
 ) -> float:
@@ -152,6 +162,4 @@ def exact_nu(
     the conditioning configurations are weighted by their probability.
     Always in [0, 1] and dominated by sqrt(MI/2).
     """
-    table, p_s, p_us, p_is, i_axes = _split_uis(joint, u, group, cond)
-    p_s = p_s.reshape(table.shape[1 + len(i_axes) :])
-    return nu_from_marginals(table, p_us, p_is, p_s)
+    return _nu_of_table(_uis_table(joint, u, group, cond))[0]

@@ -172,6 +172,7 @@ def _samples_from_fixed_width(text: str) -> SampleSet | None:
     data = states[rows[:, 0::2]]
     if _bad_cells(data, arities).any():
         return None
+    data.flags.writeable = False
     return SampleSet(data, arities, seed=seed)
 
 

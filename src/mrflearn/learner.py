@@ -15,9 +15,10 @@ budget L, set-valued pruning and the erased mode's coverage floor;
 detection floors.
 
 The four modes (exact, full, erased, queried) run the same learner and
-differ only in how nu(u, I | S) is obtained: each supplies a kernel to
-the one ``NuEstimator``, which counts, audits and enforces the erased
-mode's coverage floor.
+differ only in the table behind nu(u, I | S): the exact joint, a stored
+sample set with or without erasures (``NuEstimator.sampled``), or a fresh
+queried batch.  Each supplies a kernel to the one ``NuEstimator``, which
+counts, audits and enforces the erased mode's coverage floor.
 """
 
 from __future__ import annotations
@@ -25,23 +26,24 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .estimation import (
     EmpiricalDistribution,
+    InsufficientCoverageError,
     QueryCapacityError,
     QueryOracle,
     nu_hat,  # unused here; kept so perfbench/run.py --trace 1 can patch it
     nu_hat_erased,  # unused here, for the same reason
     nu_hat_erased_sweep,
     nu_hat_queried,
-    nu_hat_sweep,
 )
 from .game import detection_floors
 from .inference import JointTable, exact_nu
 from .model import MarkovRandomField, compute_gamma_delta
-from .sampling import SampleSet
+from .sampling import ERASED, SampleSet
 
 audit_log = logging.getLogger("mrflearn.estimator")
 
@@ -65,6 +67,10 @@ class LearnConfig:
     coverage_floor: int = 1
 
     def __post_init__(self):
+        for name, low in (("r", 1), ("coverage_floor", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"invalid {name!r}: need an integer >= {low}, got {value!r}")
         for name in ("tau", "budget"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -167,15 +173,9 @@ class NuEstimator:
         ])
 
     @classmethod
-    def full(cls, dist: EmpiricalDistribution) -> "NuEstimator":
-        """A complete sample set, one sweep per call."""
-        return cls(lambda u, groups, cond: [
-            (value, dist.m) for value in nu_hat_sweep(dist, u, groups, cond)
-        ])
-
-    @classmethod
-    def erased(cls, dist: EmpiricalDistribution, coverage_floor: int) -> "NuEstimator":
-        """Complete-case estimates over samples with erasures."""
+    def sampled(cls, dist: EmpiricalDistribution, coverage_floor: int = 0) -> "NuEstimator":
+        """A stored sample set, complete or with erasures: complete-case
+        estimates, one sweep per call."""
         return cls(
             lambda u, groups, cond: nu_hat_erased_sweep(dist, u, groups, cond),
             coverage_floor,
@@ -290,7 +290,11 @@ def learn_graph(estimator: NuEstimator, n_nodes: int, config: LearnConfig) -> Gr
 
 def learn_graph_full(samples: SampleSet, config: LearnConfig) -> GraphResult:
     """Learn from fully observed samples."""
-    estimator = NuEstimator.full(EmpiricalDistribution(samples))
+    if (samples.data == ERASED).any():
+        raise ValueError("samples contain erasures; use learn_graph_erased")
+    if samples.m == 0:
+        raise InsufficientCoverageError("no complete samples for this node set")
+    estimator = NuEstimator.sampled(EmpiricalDistribution(samples))
     result = learn_graph(estimator, samples.n, config)
     if samples.m < 2:
         result.warnings.append(
@@ -306,7 +310,7 @@ def learn_graph_full(samples: SampleSet, config: LearnConfig) -> GraphResult:
 
 def learn_graph_erased(samples: SampleSet, config: LearnConfig) -> GraphResult:
     """Learn from samples with erasures via complete-case estimation."""
-    estimator = NuEstimator.erased(EmpiricalDistribution(samples), config.coverage_floor)
+    estimator = NuEstimator.sampled(EmpiricalDistribution(samples), config.coverage_floor)
     result = learn_graph(estimator, samples.n, config)
     result.accounting = {
         "mode": "erased",

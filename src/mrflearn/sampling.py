@@ -45,7 +45,12 @@ def spawn_rng(seed: int, *key) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An m-by-n matrix of observed states, with ERASED marking missing cells."""
+    """An m-by-n matrix of observed states, with ERASED marking missing cells.
+
+    ``data`` is kept read-only: a read-only int64 array that owns its
+    memory, as the samplers and the fixed-width reader hand over, is
+    adopted; any other input is copied, so a caller's array stays its own.
+    """
 
     data: np.ndarray
     arities: tuple[int, ...]
@@ -61,8 +66,9 @@ class SampleSet:
         if bad.any():
             j = int(np.flatnonzero(bad.any(axis=0))[0])
             raise ValueError(f"out-of-range state in column {j}")
-        data = data.copy()
-        data.flags.writeable = False
+        if data.flags.writeable or data.base is not None:
+            data = data.copy()
+            data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "arities", tuple(int(k) for k in self.arities))
 
@@ -110,6 +116,7 @@ def sample_exact(joint: JointTable, m: int, seed: int) -> SampleSet:
     if m < 1:
         raise ValueError("need at least one sample")
     states = inverse_cdf_sampler(joint.probs, spawn_rng(seed, "sample"))(m)
+    states.flags.writeable = False
     return SampleSet(states, joint.arities, seed=seed)
 
 
@@ -164,6 +171,7 @@ def gibbs_sample(
         for _ in range(thinning):
             sweep()
         out[i] = x
+    out.flags.writeable = False
     return SampleSet(out, model.arities, seed=seed)
 
 
@@ -175,4 +183,5 @@ def erase(samples: SampleSet, reveal_prob: float, seed: int) -> SampleSet:
     rng = spawn_rng(seed, "erase")
     keep = rng.random(samples.data.shape) < reveal_prob
     data = np.where(keep, samples.data, ERASED)
+    data.flags.writeable = False
     return SampleSet(data, samples.arities, seed=seed)

@@ -20,6 +20,7 @@ from mrflearn import (
     exact_joint,
     exact_nu,
     generate_model,
+    learn_graph,
     learn_graph_erased,
     learn_graph_exact,
     learn_graph_full,
@@ -27,6 +28,7 @@ from mrflearn import (
     marginal,
     mean_nu_over_probe_sets,
     nu_from_marginals,
+    NuEstimator,
     sample_exact,
 )
 from mrflearn.experiment import theoretical_sample_report
@@ -242,6 +244,92 @@ def test_07_exact_estimator_recovers_everything():
     assert recovered == 100
     _report(7, f"exact-estimator learner recovered 100/100 clique graphs "
                f"with tau below each model's detection floor ({elapsed:.0f}s)")
+
+
+def _split_marginals(joint, u, group, cond):
+    """The sub-marginals nu and conditional MI were taken from before every
+    nu became one reduction of a flattened (u, I..., S) table: those of the
+    (u, I..., S...) marginal with one axis per node."""
+    table = marginal(joint, (u,) + tuple(group) + tuple(cond))
+    i_axes = tuple(range(1, 1 + len(group)))
+    p_s = table.sum(axis=(0,) + i_axes, keepdims=True)
+    p_us = table.sum(axis=i_axes, keepdims=True)
+    p_is = table.sum(axis=(0,), keepdims=True)
+    return table, p_s, p_us, p_is
+
+
+def _split_marginal_nu(joint, u, group, cond):
+    table, p_s, p_us, p_is = _split_marginals(joint, u, group, cond)
+    return nu_from_marginals(table, p_us, p_is, p_s.reshape(table.shape[1 + len(group):]))
+
+
+def _split_marginal_mi(joint, u, group, cond):
+    table, p_s, p_us, p_is = _split_marginals(joint, u, group, cond)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = table * p_s / (p_us * p_is)
+        terms = np.where(table > 0.0, table * np.log(np.where(table > 0.0, ratio, 1.0)), 0.0)
+    return max(float(terms.sum()), 0.0)
+
+
+def _logged(estimator, log):
+    """The estimator with its kernel's (u, I, S, value) queries appended to `log`."""
+    kernel = estimator.kernel
+
+    def logged(u, groups, cond):
+        out = kernel(u, groups, cond)
+        log.extend((u, tuple(g), tuple(cond), value) for g, (value, _) in zip(groups, out))
+        return out
+
+    estimator.kernel = logged
+    return estimator
+
+
+def _differential_cases():
+    for seed, model in _benchmark_models():
+        yield model, LearnConfig.from_model(
+            model, 0.4, 1.0, override_tau=TUNED_TAU, override_L=TUNED_BUDGET
+        )
+    flavors = [
+        dict(r=2, max_arity=2, max_degree=3),
+        dict(r=2, max_arity=3, max_degree=3),
+        dict(r=3, max_arity=2, max_degree=3),
+    ]
+    for trial in range(100):  # test_07's models and thresholds
+        model = generate_model(GeneratorSpec(
+            n=6 + trial % 3, alpha=0.3, beta=1.0, seed=1000 + trial, **flavors[trial % 3]
+        ))
+        floor = _exhaustive_detection_floor(model, exact_joint(model))
+        yield model, LearnConfig.from_model(
+            model, 0.3, 1.0, override_tau=floor / 2.0, override_L=model.n
+        )
+
+
+def test_exact_learner_matches_the_split_marginal_path():
+    # same decisions, evaluations and warnings on the 50 benchmark models
+    # and test_07's 100; nu within 1e-12 at every query, and conditional MI
+    # at every fourth (MI only moves by summation order, and a full check
+    # would double the test's time)
+    worst = 0.0
+    for model, config in _differential_cases():
+        joint = exact_joint(model)
+        old_log, new_log = [], []
+        old = learn_graph(_logged(NuEstimator(lambda u, groups, cond: [
+            (_split_marginal_nu(joint, u, g, cond), "exact") for g in groups
+        ]), old_log), model.n, config)
+        new = learn_graph(_logged(NuEstimator.exact(joint), new_log), model.n, config)
+        assert (new.edges, new.warnings) == (old.edges, old.warnings)
+        for u in range(model.n):
+            a, b = old.per_node[u], new.per_node[u]
+            assert (b.neighbors, b.evaluations, b.warnings) == (a.neighbors, a.evaluations, a.warnings)
+            assert [step[:2] for step in b.trace] == [step[:2] for step in a.trace]
+        assert [q[:3] for q in new_log] == [q[:3] for q in old_log]
+        for (*_, value), (*_, old_value) in zip(new_log, old_log):
+            worst = max(worst, abs(value - old_value))
+        for u, group, cond, _ in new_log[::4]:
+            mi = exact_conditional_mi(joint, u, group, cond)
+            worst = max(worst, abs(mi - _split_marginal_mi(joint, u, group, cond)))
+    print(f"worst |difference| of nu or conditional MI: {worst:.2g}")
+    assert worst <= 1e-12
 
 
 def _benchmark_models(count=50):

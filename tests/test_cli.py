@@ -293,9 +293,12 @@ def test_a_malformed_sample_file_is_a_usage_error(tmp_path):
     (["learn", "--mode", "queried", "--tau", "0.05", "-L", "-1"], "budget"),
     (["run-experiment", "--n", "4", "--tau", "-1", "-L", "3"], "tau"),
     (["run-experiment", "--n", "4", "--tau", "0.05", "-L", "inf"], "budget"),
+    (["learn", "--tau", "0.05", "-L", "3", "--coverage-floor", "-7"], "coverage_floor"),
+    (["run-experiment", "--n", "4", "--r", "0", "--tau", "0.05", "-L", "3"], "r"),
 ], ids=["sample-m", "burn-in", "thinning", "erase-reveal-prob", "m-batch", "trials",
         "experiment-m", "experiment-reveal-prob", "verify-models", "max-cond-size",
-        "learn-tau", "learn-budget", "experiment-tau", "experiment-budget"])
+        "learn-tau", "learn-budget", "experiment-tau", "experiment-budget",
+        "learn-coverage-floor", "experiment-r"])
 def test_out_of_range_counts_and_probabilities_are_usage_errors(tmp_path, command, option):
     model_path = _save_weak_pair_with_isolated_node(tmp_path)
     samples = tmp_path / "samples.txt"
@@ -325,10 +328,11 @@ def _save_model_past_the_enumeration_cap(tmp_path):
     ["play-game", "--rounds", "10"],
     ["learn", "--mode", "queried", "--tau", "0.05", "-L", "3"],
     ["run-experiment", "--n", "26", "--tau", "0.05", "-L", "3"],
-], ids=["sample", "play-game", "learn-queried", "run-experiment"])
+    ["verify-bounds", "--models", "1", "--n", "26"],
+], ids=["sample", "play-game", "learn-queried", "run-experiment", "verify-bounds"])
 def test_a_model_past_the_enumeration_cap_is_a_usage_error(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
-    if command[0] != "run-experiment":
+    if command[0] not in ("run-experiment", "verify-bounds"):
         command = command + ["--model", _save_model_past_the_enumeration_cap(tmp_path)]
     res = CliRunner().invoke(main, command)
     assert res.exit_code == 2, res.output

@@ -32,7 +32,9 @@ from mrflearn import (
     required_samples_full,
     sample_exact,
 )
+from mrflearn.estimation import _count_tables
 from mrflearn.generate import random_raw_model
+from mrflearn.inference import _nu_of_table
 
 from conftest import ising_tensor
 
@@ -283,7 +285,7 @@ def test_erased_estimator_sweep_matches_single_calls():
     groups = [(1,), (2,), (3,), (1, 2), (2, 3), (5,)]
     usable = [nu_hat_erased_sweep(emp, 0, [g], (4,))[0][1] for g in groups]
     floor = sorted(set(usable))[-2] + 1  # some estimates clear the floor, some do not
-    swept, single = NuEstimator.erased(emp, floor), NuEstimator.erased(emp, floor)
+    swept, single = NuEstimator.sampled(emp, floor), NuEstimator.sampled(emp, floor)
     values = swept(0, groups, (4,))
     assert values == [value for g in groups for value in single(0, [g], (4,))]
     assert swept.evaluations == single.evaluations == len(groups)
@@ -410,6 +412,34 @@ def test_query_oracle_stream_does_not_depend_on_the_queried_nodes():
         cols_a = [sorted(nodes_a).index(v) for v in shared]
         cols_b = [sorted(nodes_b).index(v) for v in shared]
         np.testing.assert_array_equal(block_a[:, cols_a], block_b[:, cols_b])
+
+
+def test_queried_encoding_of_an_erased_stream_matches_the_where_encoding():
+    n, r = 6, 3
+    model = canonicalize(random_raw_model(n, r, 3, seed=21))
+    samples = erase(sample_exact(exact_joint(model), 6000, seed=1), 0.8, seed=2)
+    oracle = QueryOracle.from_samples(samples, capacity=n)
+    rng = np.random.default_rng(6)
+    pos, m_batch = 0, 300
+    for _ in range(20):
+        u, group, cond = random_triple(rng, n, r, 3)
+        got = nu_hat_queried(oracle, u, group, cond, m_batch, model.arities)
+        # the encoding queried mode had: np.where over the batch at full
+        # arities, its rows addressed by node through a position map
+        nodes = sorted((u,) + group + cond)
+        block = samples.data[pos : pos + m_batch, nodes]
+        extended = np.where(block == ERASED, [model.arities[v] for v in nodes], block).T
+        by_node = np.zeros((n, m_batch), dtype=np.int64)
+        by_node[nodes] = extended
+        (table,) = _count_tables(by_node, model.arities, u, [group], cond)
+        want, usable = _nu_of_table(table)
+        assert usable > 0
+        assert got == want
+        reference, _ = reference_complete_case(samples.data[pos : pos + m_batch],
+                                               model.arities, u, group, cond)
+        assert abs(got - reference) <= 1e-12
+        pos += m_batch
+    assert oracle.consumed == pos
 
 
 def test_nu_hat_queried_independent_pair(isolated_pair):

@@ -23,6 +23,7 @@ from mrflearn import (
     sample_exact,
 )
 from mrflearn.generate import random_raw_model
+from mrflearn.inference import _nu_of_table
 
 from conftest import ising_tensor
 
@@ -217,6 +218,20 @@ def brute_nu(joint, u, group, cond):
                 if p_s > 0:
                     total += abs(p_uis - p_us * p_is / p_s)
     return total / outer
+
+
+def test_the_nu_reduction_weighs_a_table_by_its_total(chain3):
+    joint = exact_joint(chain3)
+    table = marginal(joint, (0, 1, 2))  # (u, I, S) with one S node
+    value, weight = _nu_of_table(table)
+    # a probability table's total is a float near 1, not truncated to 0
+    assert isinstance(weight, float) and weight == pytest.approx(1.0)
+    assert value == pytest.approx(exact_nu(joint, 0, (1,), (2,)), abs=1e-15)
+    assert _nu_of_table(table / 4) == pytest.approx((value, 0.25))
+    counts = np.array([[[3, 0], [1, 2]], [[0, 4], [2, 0]]])
+    _, count_weight = _nu_of_table(counts)
+    assert count_weight == 12 and isinstance(count_weight, int)
+    assert _nu_of_table(np.zeros((2, 2, 3), dtype=np.int64)) == (0.0, 0)
 
 
 def test_nu_matches_brute_force_oracle():

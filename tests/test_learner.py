@@ -95,6 +95,7 @@ def test_config_defaults_follow_the_formulas(ising_pair):
 @pytest.mark.parametrize("field, value", [
     ("tau", -0.01), ("tau", math.nan), ("tau", math.inf),
     ("budget", -1), ("budget", math.nan), ("budget", math.inf),
+    ("r", 0), ("r", -1), ("r", 2.5), ("coverage_floor", -7),
 ])
 def test_config_rejects_a_negative_or_non_finite_tau_or_budget(field, value):
     with pytest.raises(ValueError, match=f"'{field}'"):
@@ -258,6 +259,19 @@ def test_learn_graph_exact_recovers_higher_order_model():
 def test_learn_graph_empty_model(isolated_pair):
     result = learn_graph_exact(exact_joint(isolated_pair), exact_config(isolated_pair, tau=0.01))
     assert result.edges == set()
+
+
+def test_an_order_of_one_is_a_unary_only_model_with_no_edges(ising_pair):
+    samples = sample_exact(exact_joint(ising_pair), 1000, seed=4)
+    result = learn_graph_full(samples, LearnConfig(r=1, tau=0.05, budget=3))
+    assert result.edges == set()
+    assert result.accounting["evaluations"] == 0
+
+
+def test_full_mode_rejects_erased_cells_up_front(ising_pair):
+    samples = erase(sample_exact(exact_joint(ising_pair), 100, seed=1), 0.9, seed=2)
+    with pytest.raises(ValueError, match="use learn_graph_erased"):
+        learn_graph_full(samples, exact_config(ising_pair, alpha=0.5, tau=0.05))
 
 
 def test_single_sample_yields_empty_graph_with_warning(ising_pair):
@@ -459,8 +473,8 @@ def _differential_kernels(r):
     erased = EmpiricalDistribution(erase(sample_exact(joint, 600, seed=4), 0.7, seed=5))
     return model.n, {
         "exact": lambda: NuEstimator.exact(joint),
-        "full": lambda: NuEstimator.full(full),
-        "erased": lambda: NuEstimator.erased(erased, coverage_floor=150),
+        "full": lambda: NuEstimator.sampled(full),
+        "erased": lambda: NuEstimator.sampled(erased, coverage_floor=150),
         "hashed": lambda: NuEstimator(_hashed_kernel),
     }
 

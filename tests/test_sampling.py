@@ -42,6 +42,22 @@ def test_sampleset_accepts_erased_marker():
     assert s.m == 1 and s.n == 2
 
 
+def test_sampleset_keeps_its_own_copy_of_a_writeable_array():
+    data = np.array([[0, 1], [1, 0]])
+    samples = SampleSet(data, (2, 2))
+    data[0, 0] = 1
+    assert samples.data[0, 0] == 0
+    assert not samples.data.flags.writeable
+
+
+def test_sampleset_adopts_only_a_read_only_array_that_owns_its_memory():
+    data = np.array([[0, 1], [1, 0]])
+    data.flags.writeable = False
+    assert SampleSet(data, (2, 2)).data is data
+    view = data[:1]  # read-only, but its memory belongs to `data`
+    assert SampleSet(view, (2, 2)).data is not view
+
+
 def test_spawn_rng_is_deterministic_and_stage_separated():
     a = spawn_rng(7, "sample").random(4)
     b = spawn_rng(7, "sample").random(4)
