@@ -6,17 +6,22 @@ nu-hat measures, from samples, how far the joint conditional law of
     nu_hat = mean over states (R, G) of the empirically weighted sum over
     observed x_S of |Phat(u=R, I=G | x_S) - Phat(u=R | x_S) Phat(I=G | x_S)|
 
-A stored sample set and a queried batch alike are read as one
-``_extended_block`` of compact columns: node v's states 0..k_v - 1 plus
-one extra state k_v for an erased cell.  One kernel, ``_count_tables``,
-serves every estimator: for a fixed (u, S) it labels each row once by
-its conditioning configuration (rows erasing a member of S get one extra
+nu-hat depends on a sample only through its empirical joint, so the
+estimators read a weighted row set: distinct rows of compact columns,
+node v's states 0..k_v - 1 plus one extra state k_v for an erased cell,
+each with a weight.  An ``EmpiricalDistribution`` keeps a stored sample
+set as its distinct rows (``_distinct_rows`` of its ``_extended_block``)
+and the int64 count of each; an exact joint is every configuration
+weighted by its probability (``_joint_rows``); a queried batch is its
+raw rows, each of weight one.  One kernel, ``_count_tables``, serves
+every estimator: for a fixed (u, S) it labels each row once by its
+conditioning configuration (rows erasing a member of S get one extra
 "dropped" label), then, per probe set I, adds the digits of I and u and
-counts the rows with one bincount.  Slicing off the erased state of the
-I and u axes and the dropped label leaves the complete-case (u, I..., S)
-count table, which ``inference._nu_of_table`` reduces, as it does the
-exact probability table.  Conditioning configurations never observed
-contribute zero.
+sums the rows' weights with one bincount.  Slicing off the erased state
+of the I and u axes and the dropped label leaves the complete-case
+(u, I..., S) table of counts or probabilities.  ``_nu_sweep`` reduces a
+sweep's tables with ``inference._nu_of_tables``, one stack per table
+shape.  Conditioning configurations never observed contribute zero.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .inference import _check_disjoint, _nu_of_table
+from .inference import JointTable, _check_disjoint, _nu_of_table, _nu_of_tables
 from .sampling import ERASED, SampleSet, inverse_cdf_sampler, spawn_rng
 
 
@@ -44,28 +49,79 @@ def _extended_block(data: np.ndarray, arities: Sequence[int]) -> np.ndarray:
 
     Row v holds each sample's state of column v, and k_v where the cell
     is erased, in the smallest unsigned dtype that holds every k_v.  The
-    rows are filled one at a time, so no m-by-n temporary is made, and
-    each is contiguous, so an evaluation costs the same however many
-    nodes the sample has.
+    matrix is cast to that dtype before it is transposed, so no m-by-n
+    int64 temporary is made; the cast wraps an ERASED (-1) cell to the
+    dtype's largest value, above every state, and those cells are then
+    set to k_v row by row.
     """
-    # one block: separately allocated columns fragment the heap
-    block = np.empty((len(arities), data.shape[0]), np.min_scalar_type(max(arities, default=0)))
+    dtype = np.min_scalar_type(max(arities, default=0))
+    block = np.ascontiguousarray(data.astype(dtype).T)
+    erased = np.array(ERASED).astype(dtype)
     for v, k in enumerate(arities):
-        block[v] = data[:, v]
-        block[v][data[:, v] == ERASED] = k
+        block[v][block[v] == erased] = k
     return block
+
+
+def _distinct_rows(block: np.ndarray, arities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of an extended block, in the block's dtype,
+    and an int64 count for each.
+
+    Each column is coded mixed-radix over k_v + 1; the distinct codes are
+    taken with one bincount when the code space is no larger than the
+    block, otherwise with ``np.unique``.  Before a digit would push the
+    code space past 2^62, the partial code is relabelled by the index of
+    each value among its distinct values, so no code wraps.  The distinct
+    columns keep the order of the block columns they were taken from, not
+    the order of their codes: in code order, runs of neighbouring columns
+    fall into one table cell, and each bincount over them waits on its
+    own previous add.
+    """
+    m = block.shape[1]
+    code = np.zeros(m, dtype=np.int64)
+    space = 1
+    for v, k in enumerate(arities):
+        if space * (k + 1) > 1 << 62:
+            labels, code = np.unique(code, return_inverse=True)
+            space = labels.size
+        code = code * (k + 1) + block[v]
+        space *= k + 1
+    if space <= m:
+        counts = np.bincount(code, minlength=space)
+        keys = np.flatnonzero(counts)
+        first = np.empty(space, dtype=np.intp)
+        first[code] = np.arange(m)  # any row of a code stands for all of them
+        first, counts = first[keys], counts[keys]
+    else:
+        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return np.ascontiguousarray(block[:, first[order]]), counts[order].astype(np.int64, copy=False)
+
+
+def _joint_rows(joint: JointTable) -> tuple[np.ndarray, np.ndarray]:
+    """An exact joint as a weighted row set: every configuration as one
+    column of states, weighted by its probability."""
+    arities = joint.arities
+    dtype = np.min_scalar_type(max(arities, default=0))
+    rows = np.indices(arities, dtype=dtype).reshape(len(arities), joint.probs.size)
+    return rows, joint.probs.ravel()
 
 
 @dataclass
 class EmpiricalDistribution:
-    """Read-only view of a sample set as its extended-alphabet block."""
+    """Read-only view of a sample set as a weighted row set: its distinct
+    extended-alphabet rows and the number of samples behind each
+    (``counts``)."""
 
     samples: SampleSet
 
     def __post_init__(self):
-        self._columns = _extended_block(self.samples.data, self.samples.arities)
+        block = _extended_block(self.samples.data, self.samples.arities)
+        self._columns, self.counts = _distinct_rows(block, self.samples.arities)
 
     def column(self, v: int) -> np.ndarray:
+        """Node v's extended column over the distinct rows: its state in
+        each, or k_v where the cell is erased; row j stands for
+        ``counts[j]`` samples."""
         return self._columns[v]
 
     @property
@@ -83,15 +139,18 @@ def _count_tables(
     u: int,
     groups: list[tuple[int, ...]],
     cond: tuple[int, ...],
+    weights: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Complete-case counts of (X_u, X_I, X_S), one table with axes
     (u, I..., S) per probe set I in `groups`, all against one (u, S).
 
-    Row v of `block` is node v's extended column (k_v marks an erased cell).
+    Column j of `block` is one row of extended states (k_v marks an erased
+    cell) and stands for ``weights[j]`` samples, or for one without
+    `weights`; the tables hold the summed weights, in the weights' dtype.
     The S label of a row is the mixed-radix code of its conditioning
-    states or, when S has more configurations than there are rows, the
+    states or, when S has more configurations than the block has rows, the
     index of that code among the distinct ones, so a table never exceeds
-    k_u * prod(k_I) * m cells; rows erasing a member of S get the extra
+    k_u * prod(k_I) * rows cells; rows erasing a member of S get the extra
     label n_S.  Each probe set then codes (S, I..., u) over the extended
     alphabets of I and u, S most significant, and one bincount lays the
     counts out as (S, I..., u); rows erasing u or a member of I land in
@@ -115,8 +174,13 @@ def _count_tables(
     if n_s > m:
         codes, label = np.unique(label, return_inverse=True)
         n_s = codes.size - int(dropped.any())
+    # bincount sums float64 weights; converting once here spares a copy per table
+    bin_weights = None if weights is None else weights.astype(float, copy=False)
     k_u = arities[u] + 1
     bases = {}  # S-and-u part of the code, by the size of one S slab
+    # every probe set's code is built in these two buffers: a fresh array
+    # per table costs more in page faults than the arithmetic
+    buffer, digit = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
     for group in groups:
         k_group = tuple(arities[v] + 1 for v in group)
         slab = math.prod(k_group) * k_u
@@ -126,9 +190,11 @@ def _count_tables(
         stride = k_u
         for v, k in zip(reversed(group), reversed(k_group)):
             # an int64 stride keeps a compact column's product from wrapping
-            code = code + block[v] * np.int64(stride)
+            code = np.add(code, np.multiply(block[v], np.int64(stride), out=digit), out=buffer)
             stride *= k
-        counts = np.bincount(code, minlength=(n_s + 1) * slab)
+        counts = np.bincount(code, bin_weights, minlength=(n_s + 1) * slab)
+        if weights is not None:
+            counts = counts.astype(weights.dtype, copy=False)
         table = counts.reshape((n_s + 1,) + k_group + (k_u,))
         complete = table[(slice(n_s),) + tuple(slice(k - 1) for k in k_group + (k_u,))]
         yield complete.swapaxes(0, -1)
@@ -158,6 +224,28 @@ def nu_hat(
     return nu_hat_sweep(emp, u, [group], cond)[0]
 
 
+def _nu_sweep(
+    block: np.ndarray,
+    weights: np.ndarray,
+    arities: tuple[int, ...],
+    u: int,
+    groups: list[tuple[int, ...]],
+    cond: tuple[int, ...],
+) -> list[tuple[float, int | float]]:
+    """nu and weight for every probe set in `groups` against one (u, S=cond)
+    over a weighted row set: its count tables, reduced in one stack per
+    table shape."""
+    tables = list(_count_tables(block, arities, u, groups, cond, weights))
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, table in enumerate(tables):
+        by_shape.setdefault(table.shape, []).append(i)
+    out: list = [None] * len(tables)
+    for index in by_shape.values():
+        for i, result in zip(index, _nu_of_tables(np.stack([tables[i] for i in index]))):
+            out[i] = result
+    return out
+
+
 def nu_hat_erased_sweep(
     emp: EmpiricalDistribution,
     u: int,
@@ -167,10 +255,7 @@ def nu_hat_erased_sweep(
     """Complete-case nu-hat and usable-sample count for every probe set in
     `groups` against one (u, S=cond); a probe set no sample reveals gets
     (0.0, 0)."""
-    return [
-        _nu_of_table(table)
-        for table in _count_tables(emp._columns, emp.arities, u, groups, cond)
-    ]
+    return _nu_sweep(emp._columns, emp.counts, emp.arities, u, groups, cond)
 
 
 def nu_hat_erased(

@@ -4,8 +4,10 @@ Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
 learner estimates from samples.  Every nu, exact or estimated, is one
-reduction, ``_nu_of_table``, of a (u, I..., S) table with S flattened:
-of probabilities here, of counts in ``estimation``.
+reduction, ``_nu_of_tables``, of a stack of (u, I..., S) tables with S
+flattened: of probabilities here, one table at a time (``_nu_of_table``),
+of counts or probabilities in ``estimation``, one stack per sweep and
+table shape.
 """
 
 from __future__ import annotations
@@ -113,6 +115,13 @@ def exact_conditional_mi(
     return max(mi, 0.0)
 
 
+def _deviation(p_uis, a_us, a_is, a_s) -> np.ndarray:
+    """|p(u, I, S) - p(u, S) p(I, S) / p(S)| cell by cell over broadcast
+    tables, and 0 where p(S) is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a_s > 0.0, np.abs(p_uis - a_us / a_s * a_is), 0.0)
+
+
 def nu_from_marginals(
     p_uis: np.ndarray, p_us: np.ndarray, p_is: np.ndarray, p_s: np.ndarray
 ) -> float:
@@ -135,22 +144,37 @@ def nu_from_marginals(
     a_s = np.asarray(p_s, dtype=float).reshape(
         (1,) * (1 + n_group) + p_uis.shape[1 + n_group :]
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.where(a_s > 0.0, np.abs(p_uis - a_us / a_s * a_is), 0.0)
+    dev = _deviation(p_uis, a_us, a_is, a_s)
     n_outer = k_u * math.prod(p_uis.shape[1 : 1 + n_group])
     return float(dev.sum()) / n_outer
 
 
+def _nu_of_tables(tables: np.ndarray) -> list[tuple[float, int | float]]:
+    """nu and weight of each (u, I..., S) table, S flattened, in a stack
+    of tables of one shape (axis 0 indexes the tables).
+
+    A table's weight is its total (an int for counts, a float for
+    probabilities), and nu is its count- or probability-weighted sum
+    over S divided by that total; (0.0, total) when the total is zero.
+    Each table's deviations are summed on their own, so a value does not
+    depend on the other tables in the stack.
+    """
+    i_axes = tuple(range(2, tables.ndim - 1))
+    p_us = tables.sum(axis=i_axes, keepdims=True)
+    p_is = tables.sum(axis=1, keepdims=True)
+    p_s = p_us.sum(axis=1, keepdims=True)
+    dev = _deviation(tables.astype(float, copy=False), p_us, p_is, p_s)
+    n_outer = math.prod(tables.shape[1:-1])
+    out = []
+    for g in range(tables.shape[0]):
+        total = p_s[g].sum().item()
+        out.append((float(dev[g].sum()) / n_outer / total if total else 0.0, total))
+    return out
+
+
 def _nu_of_table(table: np.ndarray) -> tuple[float, int | float]:
-    """nu of a (u, I..., S) table of counts or probabilities, S flattened,
-    and the table's total (an int for counts, a float for probabilities)
-    as its weight; (0.0, total) when the total is zero."""
-    p_us = table.sum(axis=tuple(range(1, table.ndim - 1)))
-    p_s = p_us.sum(axis=0)
-    total = p_s.sum().item()
-    if total == 0:
-        return 0.0, total
-    return nu_from_marginals(table, p_us, table.sum(axis=0), p_s) / total, total
+    """``_nu_of_tables`` of one table."""
+    return _nu_of_tables(np.asarray(table)[None])[0]
 
 
 def exact_nu(

@@ -35,13 +35,15 @@ from .estimation import (
     InsufficientCoverageError,
     QueryCapacityError,
     QueryOracle,
+    _joint_rows,
+    _nu_sweep,
     nu_hat,  # unused here; kept so perfbench/run.py --trace 1 can patch it
     nu_hat_erased,  # unused here, for the same reason
     nu_hat_erased_sweep,
     nu_hat_queried,
 )
 from .game import detection_floors
-from .inference import JointTable, exact_nu
+from .inference import JointTable, exact_nu  # exact_nu: unused here, kept for the same reason
 from .model import MarkovRandomField, compute_gamma_delta
 from .sampling import ERASED, SampleSet
 
@@ -162,14 +164,14 @@ class NuEstimator:
     evaluations: int = 0
     coverage_events: list[tuple[int, tuple, tuple, int]] = field(default_factory=list)
 
-    # The kernels look the estimation functions up as module globals at
-    # call time, so that a caller can wrap them in this module.
-
     @classmethod
     def exact(cls, joint: JointTable) -> "NuEstimator":
-        """Exact inference; the learner's ground-truth mode."""
+        """Exact inference, the learner's ground-truth mode: the sampled
+        kernel over the joint as a weighted row set, every configuration
+        weighted by its probability."""
+        rows, probs = _joint_rows(joint)
         return cls(lambda u, groups, cond: [
-            (exact_nu(joint, u, group, cond), "exact") for group in groups
+            (value, "exact") for value, _ in _nu_sweep(rows, probs, joint.arities, u, groups, cond)
         ])
 
     @classmethod

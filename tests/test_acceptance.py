@@ -15,6 +15,7 @@ from mrflearn import (
     LearnConfig,
     QueryOracle,
     clique_graph,
+    EmpiricalDistribution,
     compute_gamma_delta,
     exact_conditional_mi,
     exact_joint,
@@ -31,8 +32,10 @@ from mrflearn import (
     NuEstimator,
     sample_exact,
 )
+from mrflearn.estimation import _count_tables
 from mrflearn.experiment import theoretical_sample_report
 from mrflearn.generate import random_raw_model
+from mrflearn.inference import _nu_of_table
 from mrflearn.model import center_values
 
 # learner settings calibrated once for the n=12, D=3, r=2, K=2, alpha=0.4
@@ -217,21 +220,31 @@ def _exhaustive_detection_floor(model, joint):
     return floor
 
 
-def test_07_exact_estimator_recovers_everything():
-    start = time.perf_counter()
-    recovered = 0
-    flavors = [
-        dict(r=2, max_arity=2, max_degree=3),
-        dict(r=2, max_arity=3, max_degree=3),
-        dict(r=3, max_arity=2, max_degree=3),
-    ]
-    for trial in range(100):
-        flavor = flavors[trial % len(flavors)]
+_TRIAL_07 = {}
+
+
+def _trial_07(trial):
+    """test_07's model, joint and exhaustive detection floor for one trial,
+    computed once per session."""
+    if trial not in _TRIAL_07:
+        flavor = [
+            dict(r=2, max_arity=2, max_degree=3),
+            dict(r=2, max_arity=3, max_degree=3),
+            dict(r=3, max_arity=2, max_degree=3),
+        ][trial % 3]
         model = generate_model(GeneratorSpec(
             n=6 + trial % 3, alpha=0.3, beta=1.0, seed=1000 + trial, **flavor
         ))
         joint = exact_joint(model)
-        floor = _exhaustive_detection_floor(model, joint)
+        _TRIAL_07[trial] = model, joint, _exhaustive_detection_floor(model, joint)
+    return _TRIAL_07[trial]
+
+
+def test_07_exact_estimator_recovers_everything():
+    start = time.perf_counter()
+    recovered = 0
+    for trial in range(100):
+        model, joint, floor = _trial_07(trial)
         assert floor > 0.0
         config = LearnConfig.from_model(
             model, 0.3, 1.0, override_tau=floor / 2.0, override_L=model.n
@@ -286,22 +299,26 @@ def _logged(estimator, log):
 
 def _differential_cases():
     for seed, model in _benchmark_models():
-        yield model, LearnConfig.from_model(
+        yield model, exact_joint(model), LearnConfig.from_model(
             model, 0.4, 1.0, override_tau=TUNED_TAU, override_L=TUNED_BUDGET
         )
-    flavors = [
-        dict(r=2, max_arity=2, max_degree=3),
-        dict(r=2, max_arity=3, max_degree=3),
-        dict(r=3, max_arity=2, max_degree=3),
-    ]
     for trial in range(100):  # test_07's models and thresholds
-        model = generate_model(GeneratorSpec(
-            n=6 + trial % 3, alpha=0.3, beta=1.0, seed=1000 + trial, **flavors[trial % 3]
-        ))
-        floor = _exhaustive_detection_floor(model, exact_joint(model))
-        yield model, LearnConfig.from_model(
+        model, joint, floor = _trial_07(trial)
+        yield model, joint, LearnConfig.from_model(
             model, 0.3, 1.0, override_tau=floor / 2.0, override_L=model.n
         )
+
+
+def _same_run(old, new, old_log, new_log, n):
+    """Assert two learner runs made the same decisions, evaluations,
+    warnings and queries; return the largest |difference| of a nu value."""
+    assert (new.edges, new.warnings) == (old.edges, old.warnings)
+    for u in range(n):
+        a, b = old.per_node[u], new.per_node[u]
+        assert (b.neighbors, b.evaluations, b.warnings) == (a.neighbors, a.evaluations, a.warnings)
+        assert [step[:2] for step in b.trace] == [step[:2] for step in a.trace]
+    assert [q[:3] for q in new_log] == [q[:3] for q in old_log]
+    return max((abs(q[3] - p[3]) for q, p in zip(new_log, old_log)), default=0.0)
 
 
 def test_exact_learner_matches_the_split_marginal_path():
@@ -309,27 +326,66 @@ def test_exact_learner_matches_the_split_marginal_path():
     # and test_07's 100; nu within 1e-12 at every query, and conditional MI
     # at every fourth (MI only moves by summation order, and a full check
     # would double the test's time)
+    # (the exact learner is the sampled kernel over the weighted joint)
     worst = 0.0
-    for model, config in _differential_cases():
-        joint = exact_joint(model)
+    for model, joint, config in _differential_cases():
         old_log, new_log = [], []
         old = learn_graph(_logged(NuEstimator(lambda u, groups, cond: [
             (_split_marginal_nu(joint, u, g, cond), "exact") for g in groups
         ]), old_log), model.n, config)
         new = learn_graph(_logged(NuEstimator.exact(joint), new_log), model.n, config)
-        assert (new.edges, new.warnings) == (old.edges, old.warnings)
-        for u in range(model.n):
-            a, b = old.per_node[u], new.per_node[u]
-            assert (b.neighbors, b.evaluations, b.warnings) == (a.neighbors, a.evaluations, a.warnings)
-            assert [step[:2] for step in b.trace] == [step[:2] for step in a.trace]
-        assert [q[:3] for q in new_log] == [q[:3] for q in old_log]
-        for (*_, value), (*_, old_value) in zip(new_log, old_log):
-            worst = max(worst, abs(value - old_value))
+        worst = max(worst, _same_run(old, new, old_log, new_log, model.n))
         for u, group, cond, _ in new_log[::4]:
             mi = exact_conditional_mi(joint, u, group, cond)
             worst = max(worst, abs(mi - _split_marginal_mi(joint, u, group, cond)))
     print(f"worst |difference| of nu or conditional MI: {worst:.2g}")
     assert worst <= 1e-12
+
+
+def _raw_row_estimator(samples, coverage_floor=0):
+    """The sampled estimator before rows were merged into distinct rows:
+    every raw row counted with weight one, in an int64 block made by
+    np.where, and each count table reduced on its own."""
+    data = samples.data
+    block = np.ascontiguousarray(np.where(data == ml.ERASED, np.array(samples.arities), data).T)
+    return NuEstimator(lambda u, groups, cond: [
+        _nu_of_table(table) for table in _count_tables(block, samples.arities, u, groups, cond)
+    ], coverage_floor)
+
+
+def _checked_rows(estimator):
+    """The estimator with every kernel `rows` value checked to be an int."""
+    kernel = estimator.kernel
+
+    def checked(u, groups, cond):
+        out = kernel(u, groups, cond)
+        assert all(type(rows) is int for _, rows in out)
+        return out
+
+    estimator.kernel = checked
+    return estimator
+
+
+def test_sampled_learner_matches_the_raw_row_path():
+    # test_08's samples on the 50 benchmark models, complete and erased at
+    # test_09's reveal probability and coverage floor: the distinct-row
+    # kernel makes the same decisions, evaluations, warnings and queries as
+    # counting every raw row, with nu exactly equal
+    start = time.perf_counter()
+    for seed, model in _benchmark_models():
+        joint = exact_joint(model)
+        config = LearnConfig.from_model(
+            model, 0.4, 1.0, override_tau=TUNED_TAU, override_L=TUNED_BUDGET, coverage_floor=50
+        )
+        full = sample_exact(joint, 50_000, seed=1000 + seed)
+        erased = ml.erase(full, 0.9, seed=7000 + seed)
+        for samples, floor in ((full, 0), (erased, config.coverage_floor)):
+            old_log, new_log = [], []
+            old = learn_graph(_logged(_raw_row_estimator(samples, floor), old_log), model.n, config)
+            new = learn_graph(_logged(_checked_rows(NuEstimator.sampled(
+                EmpiricalDistribution(samples), floor)), new_log), model.n, config)
+            assert _same_run(old, new, old_log, new_log, model.n) == 0.0
+    print(f"50 models in full and erased mode, identical ({time.perf_counter() - start:.0f}s)")
 
 
 def _benchmark_models(count=50):
@@ -456,6 +512,9 @@ def test_11_estimator_perturbation():
 
 
 def test_12_complexity_shape():
+    # the paper's n^r time is a count of nu evaluations; each evaluation reads
+    # the sample's distinct rows once, and their number D(n) grows with n at
+    # fixed m, so wall time is checked per evaluation against D(n)
     sizes = [8, 12, 16, 20]
     inputs = {}
     for n in sizes:
@@ -472,17 +531,28 @@ def test_12_complexity_shape():
     # the rounds, so a drift in machine speed during the test hits every
     # size alike instead of bending the slope
     rounds = {n: [] for n in sizes}
+    evaluations = {}
     for _ in range(5):
         for n in sizes:
             per_model = []
             for seed in (5, 6):
                 samples, config = inputs[n, seed]
                 t0 = time.perf_counter()
-                learn_graph_full(samples, config)
+                result = learn_graph_full(samples, config)
                 per_model.append(time.perf_counter() - t0)
+                evaluations[n, seed] = result.accounting["evaluations"]
             rounds[n].append(float(np.mean(per_model)))
-    times = [float(np.median(rounds[n])) for n in sizes]
-    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+    evals = [np.mean([evaluations[n, seed] for seed in (5, 6)]) for n in sizes]
+    distinct = [
+        np.mean([EmpiricalDistribution(inputs[n, seed][0]).counts.size for seed in (5, 6)])
+        for n in sizes
+    ]
+    per_eval = [float(np.median(rounds[n])) / e for n, e in zip(sizes, evals)]
+    slope = float(np.polyfit(np.log(sizes), np.log(evals), 1)[0])
+    kernel_slope = float(np.polyfit(np.log(distinct), np.log(per_eval), 1)[0])
     assert 1.5 <= slope <= 2.5
-    _report(12, f"learner wall time fits log-log slope {slope:.2f} over n in "
-                f"{sizes} at fixed m (target 2 +- 0.5)")
+    assert kernel_slope <= 1.0
+    _report(12, f"nu evaluations fit log-log slope {slope:.2f} over n in {sizes} at "
+                f"fixed m (target 2 +- 0.5); time per evaluation fits slope "
+                f"{kernel_slope:.2f} against distinct rows {[round(d) for d in distinct]} "
+                f"(at most 1)")

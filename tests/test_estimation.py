@@ -322,7 +322,8 @@ def test_count_table_relabels_conditioning_sets_larger_than_the_sample():
     data[rng.random(data.shape) < 0.1] = ERASED
     emp = EmpiricalDistribution(SampleSet(data, arities))
     u, group, cond = 0, (1, 2), (3, 4, 5, 6, 7, 8)
-    assert 3 ** len(cond) > emp.m  # the S axis is relabelled, not mixed-radix coded
+    # the S axis is relabelled, not mixed-radix coded
+    assert 3 ** len(cond) > emp.counts.size
     want, usable = reference_complete_case(data, arities, u, group, cond)
     assert usable > 0
     got, got_usable = nu_hat_erased(emp, u, group, cond)
@@ -333,6 +334,28 @@ def test_count_table_relabels_conditioning_sets_larger_than_the_sample():
         want, usable = reference_complete_case(data, arities, u, group, cond)
         assert got_usable == usable
         assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("k, n", [(2, 41), (3, 33)])
+def test_distinct_row_code_never_wraps(k, n):
+    # (k + 1)^n > 2^63: coded mixed-radix in one int64 the rows would wrap;
+    # at k = 3 a wrapped code drops column 0 (4^32 = 2^64), so rows that
+    # differ only there would merge
+    rng = np.random.default_rng(k)
+    pool = rng.integers(k, size=(60, n))
+    pool[1::2, 1:] = pool[::2, 1:]  # pairs of rows that differ at most in column 0
+    data = pool[rng.integers(60, size=3000)]
+    data[rng.random(data.shape) < 0.1] = ERASED
+    emp = EmpiricalDistribution(SampleSet(data, (k,) * n))
+    rows, counts = np.unique(data, axis=0, return_counts=True)
+    assert emp.counts.size == len(rows) and emp.counts.sum() == 3000
+    assert sorted(emp.counts.tolist()) == sorted(counts.tolist())
+    for u, cond in [(0, ()), (0, (1, 2)), (n - 1, (0, 5))]:
+        groups = [(v,) for v in range(n) if v != u and v not in cond][:12] + [(3, 4)]
+        for group, (got, usable) in zip(groups, nu_hat_erased_sweep(emp, u, groups, cond)):
+            want, want_usable = reference_complete_case(data, (k,) * n, u, group, cond)
+            assert type(usable) is int and usable == want_usable
+            assert abs(got - want) <= 1e-12
 
 
 def reference_exact_nu(joint, u, group, cond):
