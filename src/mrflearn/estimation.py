@@ -9,19 +9,19 @@ nu-hat measures, from samples, how far the joint conditional law of
 nu-hat depends on a sample only through its empirical joint, so the
 estimators read a weighted row set: distinct rows of compact columns,
 node v's states 0..k_v - 1 plus one extra state k_v for an erased cell,
-each with a weight.  An ``EmpiricalDistribution`` keeps a stored sample
+each with a count.  An ``EmpiricalDistribution`` keeps a stored sample
 set as its distinct rows (``_distinct_rows`` of its ``_extended_block``)
-and the int64 count of each; an exact joint is every configuration
-weighted by its probability (``_joint_rows``); a queried batch is its
-raw rows, each of weight one.  One kernel, ``_count_tables``, serves
-every estimator: for a fixed (u, S) it labels each row once by its
-conditioning configuration (rows erasing a member of S get one extra
-"dropped" label), then, per probe set I, adds the digits of I and u and
-sums the rows' weights with one bincount.  Slicing off the erased state
-of the I and u axes and the dropped label leaves the complete-case
-(u, I..., S) table of counts or probabilities.  ``_nu_sweep`` reduces a
-sweep's tables with ``inference._nu_of_tables``, one stack per table
-shape.  Conditioning configurations never observed contribute zero.
+and the int64 count of each; a queried batch is its raw rows, each
+counted once.  One kernel, ``_count_tables``, serves every estimator:
+for a fixed (u, S) it labels each row once by its conditioning
+configuration (rows erasing a member of S get one extra "dropped"
+label), then, per probe set I, adds the digits of I and u and sums the
+rows' counts with one bincount.  Slicing off the erased state of the I
+and u axes and the dropped label leaves the complete-case (u, I..., S)
+count table.  ``nu_hat_erased_sweep`` reduces a sweep's tables with
+``inference._nu_of_tables``, one stack per table shape, as the exact
+learner reduces the joint's marginals.  Conditioning configurations
+never observed contribute zero.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .inference import JointTable, _check_disjoint, _nu_of_table, _nu_of_tables
+from .inference import _check_disjoint, _nu_of_table, _nu_of_tables
 from .sampling import ERASED, SampleSet, inverse_cdf_sampler, spawn_rng
 
 
@@ -66,18 +66,16 @@ def _distinct_rows(block: np.ndarray, arities: Sequence[int]) -> tuple[np.ndarra
     """The distinct columns of an extended block, in the block's dtype,
     and an int64 count for each.
 
-    Each column is coded mixed-radix over k_v + 1; the distinct codes are
-    taken with one bincount when the code space is no larger than the
-    block, otherwise with ``np.unique``.  Before a digit would push the
-    code space past 2^62, the partial code is relabelled by the index of
-    each value among its distinct values, so no code wraps.  The distinct
+    Each column is coded mixed-radix over k_v + 1 and the distinct codes
+    are taken with ``np.unique``.  Before a digit would push the code
+    space past 2^62, the partial code is relabelled by the index of each
+    value among its distinct values, so no code wraps.  The distinct
     columns keep the order of the block columns they were taken from, not
     the order of their codes: in code order, runs of neighbouring columns
     fall into one table cell, and each bincount over them waits on its
     own previous add.
     """
-    m = block.shape[1]
-    code = np.zeros(m, dtype=np.int64)
+    code = np.zeros(block.shape[1], dtype=np.int64)
     space = 1
     for v, k in enumerate(arities):
         if space * (k + 1) > 1 << 62:
@@ -85,25 +83,9 @@ def _distinct_rows(block: np.ndarray, arities: Sequence[int]) -> tuple[np.ndarra
             space = labels.size
         code = code * (k + 1) + block[v]
         space *= k + 1
-    if space <= m:
-        counts = np.bincount(code, minlength=space)
-        keys = np.flatnonzero(counts)
-        first = np.empty(space, dtype=np.intp)
-        first[code] = np.arange(m)  # any row of a code stands for all of them
-        first, counts = first[keys], counts[keys]
-    else:
-        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
     order = np.argsort(first)
     return np.ascontiguousarray(block[:, first[order]]), counts[order].astype(np.int64, copy=False)
-
-
-def _joint_rows(joint: JointTable) -> tuple[np.ndarray, np.ndarray]:
-    """An exact joint as a weighted row set: every configuration as one
-    column of states, weighted by its probability."""
-    arities = joint.arities
-    dtype = np.min_scalar_type(max(arities, default=0))
-    rows = np.indices(arities, dtype=dtype).reshape(len(arities), joint.probs.size)
-    return rows, joint.probs.ravel()
 
 
 @dataclass
@@ -224,28 +206,6 @@ def nu_hat(
     return nu_hat_sweep(emp, u, [group], cond)[0]
 
 
-def _nu_sweep(
-    block: np.ndarray,
-    weights: np.ndarray,
-    arities: tuple[int, ...],
-    u: int,
-    groups: list[tuple[int, ...]],
-    cond: tuple[int, ...],
-) -> list[tuple[float, int | float]]:
-    """nu and weight for every probe set in `groups` against one (u, S=cond)
-    over a weighted row set: its count tables, reduced in one stack per
-    table shape."""
-    tables = list(_count_tables(block, arities, u, groups, cond, weights))
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, table in enumerate(tables):
-        by_shape.setdefault(table.shape, []).append(i)
-    out: list = [None] * len(tables)
-    for index in by_shape.values():
-        for i, result in zip(index, _nu_of_tables(np.stack([tables[i] for i in index]))):
-            out[i] = result
-    return out
-
-
 def nu_hat_erased_sweep(
     emp: EmpiricalDistribution,
     u: int,
@@ -255,7 +215,7 @@ def nu_hat_erased_sweep(
     """Complete-case nu-hat and usable-sample count for every probe set in
     `groups` against one (u, S=cond); a probe set no sample reveals gets
     (0.0, 0)."""
-    return _nu_sweep(emp._columns, emp.counts, emp.arities, u, groups, cond)
+    return _nu_of_tables(list(_count_tables(emp._columns, emp.arities, u, groups, cond, emp.counts)))
 
 
 def nu_hat_erased(

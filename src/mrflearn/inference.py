@@ -4,16 +4,17 @@ Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
 learner estimates from samples.  Every nu, exact or estimated, is one
-reduction, ``_nu_of_tables``, of a stack of (u, I..., S) tables with S
-flattened: of probabilities here, one table at a time (``_nu_of_table``),
-of counts or probabilities in ``estimation``, one stack per sweep and
-table shape.
+reduction, ``_nu_of_stack``, of a stack of (u, I..., S) tables with S
+flattened: of marginal probabilities here, one table at a time
+(``exact_nu``) or one stack per shape for a sweep (``exact_nu_sweep``),
+of counts in ``estimation``, one stack per sweep and shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -149,7 +150,7 @@ def nu_from_marginals(
     return float(dev.sum()) / n_outer
 
 
-def _nu_of_tables(tables: np.ndarray) -> list[tuple[float, int | float]]:
+def _nu_of_stack(stack: np.ndarray) -> list[tuple[float, int | float]]:
     """nu and weight of each (u, I..., S) table, S flattened, in a stack
     of tables of one shape (axis 0 indexes the tables).
 
@@ -159,22 +160,41 @@ def _nu_of_tables(tables: np.ndarray) -> list[tuple[float, int | float]]:
     Each table's deviations are summed on their own, so a value does not
     depend on the other tables in the stack.
     """
-    i_axes = tuple(range(2, tables.ndim - 1))
-    p_us = tables.sum(axis=i_axes, keepdims=True)
-    p_is = tables.sum(axis=1, keepdims=True)
+    p_us = stack.sum(axis=tuple(range(2, stack.ndim - 1)), keepdims=True)
+    p_is = stack.sum(axis=1, keepdims=True)
     p_s = p_us.sum(axis=1, keepdims=True)
-    dev = _deviation(tables.astype(float, copy=False), p_us, p_is, p_s)
-    n_outer = math.prod(tables.shape[1:-1])
+    dev = _deviation(stack.astype(float, copy=False), p_us, p_is, p_s)
+    n_outer = math.prod(stack.shape[1:-1])
     out = []
-    for g in range(tables.shape[0]):
+    for g in range(stack.shape[0]):
         total = p_s[g].sum().item()
         out.append((float(dev[g].sum()) / n_outer / total if total else 0.0, total))
     return out
 
 
+def _nu_of_tables(tables: Sequence[np.ndarray]) -> list[tuple[float, int | float]]:
+    """``_nu_of_stack`` of a sweep's tables, one stack per table shape."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, table in enumerate(tables):
+        by_shape.setdefault(table.shape, []).append(i)
+    out: list = [None] * len(tables)
+    for index in by_shape.values():
+        for i, result in zip(index, _nu_of_stack(np.stack([tables[i] for i in index]))):
+            out[i] = result
+    return out
+
+
 def _nu_of_table(table: np.ndarray) -> tuple[float, int | float]:
-    """``_nu_of_tables`` of one table."""
-    return _nu_of_tables(np.asarray(table)[None])[0]
+    """``_nu_of_stack`` of one table."""
+    return _nu_of_stack(np.asarray(table)[None])[0]
+
+
+def exact_nu_sweep(
+    joint: JointTable, u: int, groups: list[tuple[int, ...]], cond: tuple[int, ...] = ()
+) -> list[float]:
+    """``exact_nu`` for every probe set in `groups` against one (u, S=cond):
+    each probe set's marginal, the marginals reduced by table shape."""
+    return [value for value, _ in _nu_of_tables([_uis_table(joint, u, g, cond) for g in groups])]
 
 
 def exact_nu(

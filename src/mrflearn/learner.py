@@ -35,15 +35,13 @@ from .estimation import (
     InsufficientCoverageError,
     QueryCapacityError,
     QueryOracle,
-    _joint_rows,
-    _nu_sweep,
     nu_hat,  # unused here; kept so perfbench/run.py --trace 1 can patch it
     nu_hat_erased,  # unused here, for the same reason
     nu_hat_erased_sweep,
     nu_hat_queried,
 )
 from .game import detection_floors
-from .inference import JointTable, exact_nu  # exact_nu: unused here, kept for the same reason
+from .inference import JointTable, exact_nu, exact_nu_sweep  # exact_nu: unused here, kept for the same reason
 from .model import MarkovRandomField, compute_gamma_delta
 from .sampling import ERASED, SampleSet
 
@@ -166,12 +164,10 @@ class NuEstimator:
 
     @classmethod
     def exact(cls, joint: JointTable) -> "NuEstimator":
-        """Exact inference, the learner's ground-truth mode: the sampled
-        kernel over the joint as a weighted row set, every configuration
-        weighted by its probability."""
-        rows, probs = _joint_rows(joint)
+        """Exact inference, the learner's ground-truth mode: one sweep of
+        the joint's marginals per call."""
         return cls(lambda u, groups, cond: [
-            (value, "exact") for value, _ in _nu_sweep(rows, probs, joint.arities, u, groups, cond)
+            (value, "exact") for value in exact_nu_sweep(joint, u, groups, cond)
         ])
 
     @classmethod

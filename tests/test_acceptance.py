@@ -326,7 +326,6 @@ def test_exact_learner_matches_the_split_marginal_path():
     # and test_07's 100; nu within 1e-12 at every query, and conditional MI
     # at every fourth (MI only moves by summation order, and a full check
     # would double the test's time)
-    # (the exact learner is the sampled kernel over the weighted joint)
     worst = 0.0
     for model, joint, config in _differential_cases():
         old_log, new_log = [], []
@@ -511,7 +510,7 @@ def test_11_estimator_perturbation():
                 f"(worst deviation {worst:.2f} of allowance)")
 
 
-def test_12_complexity_shape():
+def test_12_complexity_shape(monkeypatch):
     # the paper's n^r time is a count of nu evaluations; each evaluation reads
     # the sample's distinct rows once, and their number D(n) grows with n at
     # fixed m, so wall time is checked per evaluation against D(n)
@@ -527,6 +526,24 @@ def test_12_complexity_shape():
                 model, 0.4, 1.0, override_tau=TUNED_TAU, override_L=TUNED_BUDGET
             )
             inputs[n, seed] = (samples, config)
+    # the premise of the timing: every block the count kernel reads holds
+    # the sample's D(n) distinct rows, and at n = 8 and 12 that is fewer
+    # than its m rows, so a kernel that read every raw row fails here
+    distinct = {key: EmpiricalDistribution(samples).counts.size
+                for key, (samples, _) in inputs.items()}
+    count_tables, read = ml.estimation._count_tables, set()
+
+    def recording(block, *args):
+        read.add(block.shape[1])
+        return count_tables(block, *args)
+
+    monkeypatch.setattr(ml.estimation, "_count_tables", recording)
+    for (n, seed), (samples, config) in inputs.items():
+        read.clear()
+        learn_graph_full(samples, config)
+        assert read == {distinct[n, seed]}
+        assert n > 12 or distinct[n, seed] < samples.m
+    monkeypatch.undo()
     # every round times all four sizes, and each size keeps its median over
     # the rounds, so a drift in machine speed during the test hits every
     # size alike instead of bending the slope
@@ -543,16 +560,13 @@ def test_12_complexity_shape():
                 evaluations[n, seed] = result.accounting["evaluations"]
             rounds[n].append(float(np.mean(per_model)))
     evals = [np.mean([evaluations[n, seed] for seed in (5, 6)]) for n in sizes]
-    distinct = [
-        np.mean([EmpiricalDistribution(inputs[n, seed][0]).counts.size for seed in (5, 6)])
-        for n in sizes
-    ]
+    rows_read = [np.mean([distinct[n, seed] for seed in (5, 6)]) for n in sizes]
     per_eval = [float(np.median(rounds[n])) / e for n, e in zip(sizes, evals)]
     slope = float(np.polyfit(np.log(sizes), np.log(evals), 1)[0])
-    kernel_slope = float(np.polyfit(np.log(distinct), np.log(per_eval), 1)[0])
+    kernel_slope = float(np.polyfit(np.log(rows_read), np.log(per_eval), 1)[0])
     assert 1.5 <= slope <= 2.5
     assert kernel_slope <= 1.0
     _report(12, f"nu evaluations fit log-log slope {slope:.2f} over n in {sizes} at "
                 f"fixed m (target 2 +- 0.5); time per evaluation fits slope "
-                f"{kernel_slope:.2f} against distinct rows {[round(d) for d in distinct]} "
+                f"{kernel_slope:.2f} against distinct rows {[round(d) for d in rows_read]} "
                 f"(at most 1)")
