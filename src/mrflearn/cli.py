@@ -84,7 +84,7 @@ def main():
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--density", type=float, default=0.8, show_default=True)
 @click.option("--no-unaries", is_flag=True, help="skip unary potentials")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_generate_model(n, r, max_degree, max_arity, alpha, beta, density, no_unaries, seed, out):
     """Generate a random non-degenerate model and write it as JSON."""
@@ -108,7 +108,7 @@ def cmd_generate_model(n, r, max_degree, max_arity, alpha, beta, density, no_una
 @main.command("sample")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--m", type=click.IntRange(min=1), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sampler", type=click.Choice(["exact", "gibbs"]), default="exact", show_default=True)
 @click.option("--burn-in", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--thinning", type=click.IntRange(min=1), default=5, show_default=True)
@@ -129,7 +129,7 @@ def cmd_sample(model_path, m, seed, sampler, burn_in, thinning, out):
 @main.command("erase")
 @click.option("--samples", "samples_path", type=click.Path(exists=True), required=True)
 @click.option("--reveal-prob", type=click.FloatRange(0, 1), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_erase(samples_path, reveal_prob, seed, out):
     """Pass samples through the erasure channel."""
@@ -152,7 +152,7 @@ def cmd_erase(samples_path, reveal_prob, seed, out):
 @click.option("--alpha", type=float, default=0.2, show_default=True)
 @click.option("--m", type=int, help="use only the first m sample rows")
 @click.option("--m-batch", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--prune-sets", is_flag=True)
 @click.option("--coverage-floor", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path())
@@ -220,7 +220,7 @@ def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, m, m_batch,
 @click.option("--alpha", type=float, default=0.3, show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--max-cond-size", type=click.IntRange(min=0), default=2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path())
 def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond_size, seed, out):
     """Exhaustively verify the payoff and detection-floor guarantees on
@@ -261,7 +261,7 @@ def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond
 @click.option("--node", type=int, default=None, help="single node; default all non-isolated")
 @click.option("--rounds", type=click.IntRange(min=2), default=100000, show_default=True,
               help="at least 2, so the Monte-Carlo standard error is defined")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--alpha", type=float, default=0.2, show_default=True)
 @click.option("--out", type=click.Path())
 def cmd_play_game(model_path, node, rounds, seed, alpha, out):
@@ -309,7 +309,7 @@ def cmd_play_game(model_path, node, rounds, seed, alpha, out):
 @click.option("--tau", type=float, required=True)
 @click.option("--budget", "-L", "budget", type=float, required=True)
 @click.option("--reveal-prob", type=click.FloatRange(0, 1), default=0.9, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path())
 def cmd_run_experiment(n, r, max_degree, max_arity, alpha, beta, density, trials,
                        mode, m, tau, budget, reveal_prob, seed, out):

@@ -182,28 +182,16 @@ def _count_tables(
         yield complete.swapaxes(0, -1)
 
 
-def nu_hat_sweep(
-    emp: EmpiricalDistribution,
-    u: int,
-    groups: list[tuple[int, ...]],
-    cond: tuple[int, ...] = (),
-) -> list[float]:
-    """nu_hat for every probe set in `groups` against one (u, S=cond)."""
-    values = []
-    for value, usable in nu_hat_erased_sweep(emp, u, groups, cond):
-        if usable != emp.m:
-            raise ValueError("samples contain erasures; use nu_hat_erased")
-        if usable == 0:
-            raise InsufficientCoverageError("no complete samples for this node set")
-        values.append(value)
-    return values
-
-
 def nu_hat(
     emp: EmpiricalDistribution, u: int, group: tuple[int, ...], cond: tuple[int, ...] = ()
 ) -> float:
     """Estimate nu for (u, I=group | S=cond) from complete samples."""
-    return nu_hat_sweep(emp, u, [group], cond)[0]
+    value, usable = nu_hat_erased_sweep(emp, u, [group], cond)[0]
+    if usable != emp.m:
+        raise ValueError("samples contain erasures; use nu_hat_erased")
+    if usable == 0:
+        raise InsufficientCoverageError("no complete samples for this node set")
+    return value
 
 
 def nu_hat_erased_sweep(

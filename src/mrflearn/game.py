@@ -8,14 +8,15 @@ is paid w*(1{X_u = R} - 1{X'_u = R}).
 
 Bob's explicit strategy reweights each clique potential touching u by
 the inverse probability that its neighbors are all revealed, so that
-averaged over I the stake is an unbiased read of the local energy gap.
+averaged over I the stake is an unbiased read of the local energy gap;
+his phi table is one weighted ``model._tensor_sum``.
 Its positive expected payoff lower-bounds the mutual information
 between u and its neighborhood, which is what the structure learner's
 detection thresholds rest on, so the payoff floor and the
 detection-floor formulas live here.  One simulator plays the rounds
 (``play_round`` is its first, ``expected_payoff_mc`` averages many),
 and three verifiers walk the non-isolated nodes to check every link of
-that chain numerically on small models.
+that chain numerically on small models (probe-averaged nu: one ``exact_nu_sweep``).
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import JointTable, exact_conditional_mi, exact_joint, exact_nu, marginal
+from .inference import (
+    JointTable, exact_conditional_mi, exact_joint, exact_nu, exact_nu_sweep, marginal,
+)
 from .model import (
     MarkovRandomField,
     _maximal_hyperedges,
+    _tensor_sum,
     clique_graph,
     compute_gamma_delta,
 )
@@ -61,21 +65,11 @@ def _phi_table(model: MarkovRandomField, u: int, revealed: tuple[int, ...]) -> n
         raise ValueError(f"revealed set {revealed} is not inside the neighborhood of {u}")
     d_u = graph.degrees[u]
     s = len(revealed)
-    phi = np.zeros((model.arities[u],) + tuple(model.arities[v] for v in revealed))
-    for verts in model.incident(u):
-        others = [v for v in verts if v != u]
-        if not set(others) <= set(revealed):
-            continue
-        ell = len(others)
-        coeff = math.comb(d_u, s) / math.comb(d_u - ell, s - ell)
-        target = [0 if v == u else 1 + revealed.index(v) for v in verts]
-        perm = np.argsort(target)
-        aligned = model.potentials[verts].values.transpose(perm)
-        shape = [1] * (1 + s)
-        for pos, size in zip(sorted(target), aligned.shape):
-            shape[pos] = size
-        phi = phi + coeff * aligned.reshape(shape)
-    return phi
+    nodes = (u,) + revealed
+    visible = [h for h in model.incident(u) if set(h) <= set(nodes)]
+    weights = [math.comb(d_u, s) / math.comb(d_u - len(h) + 1, s - len(h) + 1) for h in visible]
+    dims = [model.arities[v] for v in nodes]
+    return _tensor_sum([model.potentials[h] for h in visible], nodes, dims, weights)
 
 
 def _wagers(phi: np.ndarray) -> np.ndarray:
@@ -310,8 +304,7 @@ def mean_nu_over_probe_sets(joint: JointTable, u: int, cond: tuple[int, ...] = (
     subsets = _probe_sets(joint.model, u, excluded=frozenset(cond))
     if not subsets:
         raise ValueError(f"conditioning set covers the whole neighborhood of {u}")
-    values = [exact_nu(joint, u, revealed, tuple(cond)) for revealed in subsets]
-    return float(np.mean(values))
+    return float(np.mean(exact_nu_sweep(joint, u, subsets, tuple(cond))))
 
 
 def _qualifying_nodes(model: MarkovRandomField, alpha: float):

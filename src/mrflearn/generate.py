@@ -66,9 +66,11 @@ def generate_model(spec: GeneratorSpec) -> MarkovRandomField:
     Interaction hyperedges (size 2..r) form an antichain so each is
     maximal and must be alpha-nonvanishing; unary potentials are only
     attached to covered nodes, keeping them non-maximal.  Raises when the
-    request is impossible (alpha > beta, max_arity < 2, or nothing
-    placeable).
+    request is impossible (alpha <= 0, alpha > beta, max_arity < 2, or
+    nothing placeable).
     """
+    if spec.alpha <= 0:
+        raise FeasibilityError(f"alpha={spec.alpha} must be positive")
     if spec.alpha > spec.beta:
         raise FeasibilityError(f"alpha={spec.alpha} > beta={spec.beta} is contradictory")
     if not 0.0 < spec.hyperedge_density <= 1.0:

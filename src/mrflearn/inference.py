@@ -3,11 +3,12 @@
 Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
-learner estimates from samples.  Every nu, exact or estimated, is one
-reduction, ``_nu_of_stack``, of a stack of (u, I..., S) tables with S
-flattened: of marginal probabilities here, one table at a time
-(``exact_nu``) or one stack per shape for a sweep (``exact_nu_sweep``),
-of counts in ``estimation``, one stack per sweep and shape.
+learner estimates from samples.  The joint's log-density is one
+``model._tensor_sum``.  Every nu, exact or estimated, is one reduction,
+``_nu_of_stack``, of a stack of (u, I..., S) tables with S flattened:
+of marginal probabilities here, one stack per shape for a sweep
+(``exact_nu_sweep``; ``exact_nu`` is its sweep of one probe set), of
+counts in ``estimation``, one stack per sweep and shape.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import MarkovRandomField
+from .model import MarkovRandomField, _tensor_sum
 
 #: refuse to enumerate joint tables beyond this many configurations
 MAX_CONFIGURATIONS = 1 << 24
@@ -53,12 +54,7 @@ def exact_joint(model: MarkovRandomField) -> JointTable:
         raise CapacityError(
             f"{total} configurations exceed the exact-inference cap of {MAX_CONFIGURATIONS}"
         )
-    logw = np.zeros(model.arities)
-    for verts, tensor in model.potentials.items():
-        shape = tuple(
-            model.arities[v] if v in verts else 1 for v in range(model.n)
-        )
-        logw = logw + tensor.values.reshape(shape)
+    logw = _tensor_sum(model.potentials.values(), range(model.n), model.arities)
     peak = float(logw.max())
     z = float(np.exp(logw - peak).sum())
     log_partition = peak + math.log(z)
@@ -157,8 +153,9 @@ def _nu_of_stack(stack: np.ndarray) -> list[tuple[float, int | float]]:
     A table's weight is its total (an int for counts, a float for
     probabilities), and nu is its count- or probability-weighted sum
     over S divided by that total; (0.0, total) when the total is zero.
-    Each table's deviations are summed on their own, so a value does not
-    depend on the other tables in the stack.
+    Each table's deviations are summed on their own, but a float sum runs
+    in the stack's memory order, which ``np.stack`` takes from all of its
+    tables, so a value can move in the last bit with the other tables.
     """
     p_us = stack.sum(axis=tuple(range(2, stack.ndim - 1)), keepdims=True)
     p_is = stack.sum(axis=1, keepdims=True)
@@ -206,4 +203,4 @@ def exact_nu(
     the conditioning configurations are weighted by their probability.
     Always in [0, 1] and dominated by sqrt(MI/2).
     """
-    return _nu_of_table(_uis_table(joint, u, group, cond))[0]
+    return exact_nu_sweep(joint, u, [group], cond)[0]

@@ -13,6 +13,10 @@ makes every tensor *centered* (each fiber, i.e. each 1-D slice along
 any single axis, sums to zero), which makes the decomposition of the
 log-density unique and is a precondition for the non-degeneracy checks
 and detection-threshold formulas used by the learner.
+
+One function, ``_tensor_sum``, lays clique tensors out over given nodes
+and adds them, for the joint, Bob's phi, the Gibbs conditionals and
+``effective_tensor`` alike.
 """
 
 from __future__ import annotations
@@ -413,11 +417,25 @@ def effective_tensor(
         for pos, d in inferred.items():
             if pos >= len(dims) or dims[pos] != d:
                 raise ValueError(f"tensor dimension mismatch at position {pos}")
+    return CliqueTensor(tuple(range(len(dims))), _tensor_sum(tensors, range(len(dims)), dims))
+
+
+def _tensor_sum(tensors: Iterable[CliqueTensor], nodes: Sequence[int], dims: Sequence[int],
+                weights: Sequence[float] | None = None) -> np.ndarray:
+    """A table over `nodes` (axis a is node ``nodes[a]``, of size
+    ``dims[a]``): zeros plus, in the order given, each tensor times its
+    weight (1.0 when `weights` is None), transposed into axis order and
+    broadcast over the axes it misses, so an entry is the left-to-right
+    sum of the selected entries, as ``energy`` takes it."""
+    axis = {v: a for a, v in enumerate(nodes)}
     total = np.zeros(tuple(dims))
-    for t in tensors:
-        expand = tuple(dims[p] if p in t.vertices else 1 for p in range(len(dims)))
-        total = total + t.values.reshape(expand)
-    return CliqueTensor(tuple(range(len(dims))), total)
+    for i, tensor in enumerate(tensors):
+        axes = [axis[v] for v in tensor.vertices]
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        shape = [total.shape[a] if a in axes else 1 for a in range(total.ndim)]
+        values = tensor.values if weights is None else weights[i] * tensor.values
+        total += values.transpose(order).reshape(shape)
+    return total
 
 
 def noncancellation_witness(

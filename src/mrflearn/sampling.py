@@ -2,12 +2,12 @@
 
 All randomness flows from a single 64-bit seed: stages derive
 independent generators through ``spawn_rng`` so that model generation,
-sampling, erasure and learning are separately reproducible.
+sampling, erasure and learning are separately reproducible.  A node's
+Gibbs heat-bath table is one ``model._tensor_sum``, normalized by row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .inference import JointTable
-from .model import MarkovRandomField, clique_graph, conditional_distribution
+from .model import MarkovRandomField, _tensor_sum, clique_graph
 
 #: marker for an erased cell in a sample matrix
 ERASED = -1
@@ -122,18 +122,19 @@ def sample_exact(joint: JointTable, m: int, seed: int) -> SampleSet:
 
 def _conditional_tables(model: MarkovRandomField):
     """Per node: sorted neighbor list and the conditional CDF for every
-    neighbor configuration (mixed-radix indexed)."""
+    neighbor configuration (mixed-radix indexed), each row normalized
+    as ``conditional_distribution`` does it."""
     graph = clique_graph(model)
     tables = []
-    scratch = [0] * model.n
     for u in range(model.n):
         nbrs = sorted(graph.neighbors[u])
         shape = [model.arities[v] for v in nbrs]
-        rows = np.empty((math.prod(shape), model.arities[u]))
-        for code, states in enumerate(itertools.product(*[range(k) for k in shape])):
-            for v, s in zip(nbrs, states):
-                scratch[v] = s
-            rows[code] = conditional_distribution(model, u, scratch)
+        k_u = model.arities[u]
+        tensors = [model.potentials[h] for h in model.incident(u)]
+        energies = _tensor_sum(tensors, nbrs + [u], shape + [k_u]).reshape(-1, k_u)
+        energies -= energies.max(axis=1, keepdims=True)
+        w = np.exp(energies)
+        rows = w / w.sum(axis=1, keepdims=True)
         strides = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
         tables.append((nbrs, strides, np.cumsum(rows, axis=1)))
     return tables

@@ -235,12 +235,19 @@ def test_learn_without_a_model_reports_no_theoretical_thresholds(tmp_path):
     ["generate-model", "--n", "1", "--out", "never.json"],
     ["verify-bounds", "--r", "1"],
     ["run-experiment", "--n", "1", "--tau", "0.05", "-L", "3"],
+    ["generate-model", "--n", "4", "--alpha", "0", "--out", "never.json"],
+    ["verify-bounds", "--alpha", "0"],
+    ["run-experiment", "--n", "4", "--alpha", "0", "--tau", "0.05", "-L", "3"],
 ])
 def test_an_unplaceable_spec_is_a_usage_error(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     res = CliRunner().invoke(main, command)
     assert res.exit_code == 2, res.output
-    assert "need n >= 2 and r >= 2 to place any interaction" in res.output
+    if "--alpha" in command:
+        assert "alpha=0.0 must be positive" in res.output
+    else:
+        assert "need n >= 2 and r >= 2 to place any interaction" in res.output
+    assert not (tmp_path / "never.json").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -313,6 +320,30 @@ def test_out_of_range_counts_and_probabilities_are_usage_errors(tmp_path, comman
     res = CliRunner().invoke(main, command + files)
     assert res.exit_code == 2, res.output
     assert f"'{option}'" in res.output
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "generate-model", "sample", "erase", "learn", "verify-bounds", "play-game", "run-experiment",
+])
+def test_a_negative_seed_is_a_usage_error(tmp_path, command):
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    samples = tmp_path / "samples.txt"
+    samples.write_text("n=3 arities=2,2,2 seed=0\n1 2 1\n2 2 1\n")
+    out = ["--out", str(tmp_path / "out.txt")]
+    args = {
+        "generate-model": ["--n", "4"] + out,
+        "sample": ["--model", model_path, "--m", "5"] + out,
+        "erase": ["--samples", str(samples), "--reveal-prob", "0.5"] + out,
+        "learn": ["--samples", str(samples), "--tau", "0.05", "-L", "3"] + out,
+        "verify-bounds": ["--models", "1"] + out,
+        "play-game": ["--model", model_path, "--rounds", "10"] + out,
+        "run-experiment": ["--n", "4", "--tau", "0.05", "-L", "3", "--trials", "1"] + out,
+    }[command]
+    res = CliRunner().invoke(main, [command, "--seed", "-1"] + args)
+    assert res.exit_code == 2, res.output
+    assert "'--seed'" in res.output
+    assert "Traceback" not in res.output
     assert not (tmp_path / "out.txt").exists()
 
 

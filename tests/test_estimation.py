@@ -27,7 +27,6 @@ from mrflearn import (
     nu_hat_erased,
     nu_hat_erased_sweep,
     nu_hat_queried,
-    nu_hat_sweep,
     required_samples_erased,
     required_samples_full,
     sample_exact,
@@ -141,13 +140,13 @@ def test_nu_hat_erased_no_coverage():
         nu_hat(empty, 0, (1,), (2,))
     with pytest.raises(InsufficientCoverageError, match="no sample reveals"):
         nu_hat_erased(empty, 0, (1,), (2,))
-    # through a sweep: the same errors, and zero coverage where the single
-    # call raises InsufficientCoverageError
+    # nu_hat's own checks, and zero coverage through the sweep where the
+    # single calls raise
     with pytest.raises(InsufficientCoverageError, match="no complete samples"):
-        nu_hat_sweep(empty, 0, [(1,), (2,)])
+        nu_hat(empty, 0, (2,))
     assert nu_hat_erased_sweep(empty, 0, [(1,), (2,)]) == [(0.0, 0), (0.0, 0)]
     with pytest.raises(ValueError, match="use nu_hat_erased"):
-        nu_hat_sweep(emp, 0, [(1,)])
+        nu_hat(emp, 0, (1,))
     assert nu_hat_erased_sweep(emp, 0, [(1,)]) == [(0.0, 0)]
 
 
@@ -259,10 +258,11 @@ def test_sweep_matches_single_calls_and_reference(k, r):
     rng = np.random.default_rng(k * 100 + r)
     for _ in range(8):
         u, groups, cond = random_sweep(rng, n, r, 4)
-        values = nu_hat_sweep(emp, u, groups, cond)
+        values = nu_hat_erased_sweep(emp, u, groups, cond)
         erased_values = nu_hat_erased_sweep(emp_erased, u, groups, cond)
         assert len(values) == len(erased_values) == len(groups)
-        for group, value, (got, usable) in zip(groups, values, erased_values):
+        for group, (value, complete), (got, usable) in zip(groups, values, erased_values):
+            assert complete == samples.m
             want, _ = reference_complete_case(samples.data, model.arities, u, group, cond)
             assert abs(value - want) <= 1e-12
             assert abs(value - nu_hat(emp, u, group, cond)) <= 1e-12

@@ -23,6 +23,7 @@ from mrflearn import (
     payoff_upper_bound_check,
     play_round,
     spawn_rng,
+    verify_conditioned_floor,
     verify_mi_chain,
     verify_payoff_bounds,
     wager_cap,
@@ -285,6 +286,24 @@ def test_mi_chain_link_check_catches_a_wrong_nu(monkeypatch):
     records = verify_mi_chain(small_models(1, n=5, r=2, seed0=11)[0], 0.3)
     assert records
     assert not any(record["links_ok"] for record in records)
+
+
+def test_mi_chain_and_conditioned_floor_agree_at_the_empty_set():
+    # the chain averages one exact_nu call per probe set, the conditioned
+    # floor one exact_nu_sweep over them all; at S = () the means agree up
+    # to the float64 rounding of a table's sums inside a larger stack
+    checked = 0
+    models = small_models(10, n=5, r=2, seed0=11) + small_models(
+        10, n=5, r=3, seed0=40, max_arity=3
+    )
+    for model in models:
+        joint = exact_joint(model)
+        chain = {rec["node"]: rec["mean_nu"] for rec in verify_mi_chain(model, 0.3, joint)}
+        for rec in verify_conditioned_floor(model, 0.3, 0, joint):
+            assert rec["cond"] == ()
+            assert rec["mean_nu"] == pytest.approx(chain[rec["node"]], rel=0, abs=1e-15)
+            checked += 1
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------- variance structure

@@ -36,6 +36,12 @@ def test_generator_rejects_contradictory_bounds():
         generate_model(GeneratorSpec(n=4, alpha=2.0, beta=1.0))
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5])
+def test_generator_rejects_a_nonpositive_alpha(alpha):
+    with pytest.raises(FeasibilityError, match="must be positive"):
+        generate_model(GeneratorSpec(n=4, alpha=alpha))
+
+
 def test_generator_rejects_tiny_problem():
     with pytest.raises(FeasibilityError):
         generate_model(GeneratorSpec(n=1, r=2))

@@ -23,7 +23,7 @@ from mrflearn import (
     sample_exact,
 )
 from mrflearn.generate import random_raw_model
-from mrflearn.inference import _nu_of_table
+from mrflearn.inference import _nu_of_table, exact_nu_sweep
 
 from conftest import ising_tensor
 
@@ -241,6 +241,23 @@ def test_nu_matches_brute_force_oracle():
         assert exact_nu(joint, u, group, cond) == pytest.approx(
             brute_nu(joint, u, group, cond), abs=1e-12
         )
+
+
+def test_exact_nu_is_its_sweep_entry():
+    model = canonicalize(random_raw_model(n=5, r=3, max_arity=3, seed=7))
+    joint = exact_joint(model)
+    for u in range(model.n):
+        rest = [v for v in range(model.n) if v != u]
+        for cond in [(), tuple(rest[-1:]), tuple(rest[-2:])]:
+            free = [v for v in rest if v not in cond]
+            groups = [g for size in (1, 2) for g in itertools.combinations(free, size)]
+            for group, value in zip(groups, exact_nu_sweep(joint, u, groups, cond)):
+                nu = exact_nu(joint, u, group, cond)
+                assert nu == exact_nu_sweep(joint, u, [group], cond)[0]
+                # np.stack lays a stack out after all of its tables, so a
+                # table's sums can run in another order beside others of
+                # its shape: equal up to float64 rounding
+                assert nu == pytest.approx(value, rel=0, abs=1e-15)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from mrflearn import (
     CliqueTensor,
+    GeneratorSpec,
     MarkovRandomField,
     canonicalize,
     clique_graph,
@@ -17,12 +19,15 @@ from mrflearn import (
     energy,
     exact_conditional_mi,
     exact_joint,
+    generate_model,
     is_centered,
     noncancellation_witness,
     validate_nondegeneracy,
 )
+from mrflearn.game import _phi_table
 from mrflearn.generate import random_raw_model
 from mrflearn.model import center_values
+from mrflearn.sampling import _conditional_tables
 
 from conftest import ising_tensor
 
@@ -360,6 +365,114 @@ def test_effective_tensor_entries_sum_to_zero(seed):
         parts.append(CliqueTensor(sub, center_values(rng.normal(size=shape))))
     out = effective_tensor(parts, dims=dims)
     assert abs(out.values.sum()) < 1e-9
+
+
+# ---------------------------------------------------------------- clique-tensor layout
+#
+# exact_joint, the Gibbs conditional tables and Bob's phi all lay clique
+# tensors out with model._tensor_sum.  Each is compared byte for byte with
+# the code it replaced at that site, written out below.
+
+#: (source, r, max arity, seed); each seed gives a model with every
+#: property _layout_model asserts
+LAYOUT_CASES = [
+    ("generated", 2, 2, 0), ("generated", 2, 3, 2), ("generated", 2, 9, 0),
+    ("generated", 3, 2, 0), ("generated", 3, 3, 0), ("generated", 3, 9, 0),
+    ("raw", 2, 2, 0), ("raw", 2, 3, 5), ("raw", 2, 9, 0),
+    ("raw", 3, 2, 0), ("raw", 3, 3, 0), ("raw", 3, 9, 1),
+]
+
+
+def _layout_model(source, r, k, seed):
+    """A generated model, or a raw one (uncentered, nested hyperedges).
+    At max arity 9 some node has 8 or more states, so its conditional
+    rows are summed by numpy's unrolled loop."""
+    n = 5 if k == 9 else 6
+    if source == "generated":
+        model = generate_model(GeneratorSpec(
+            n=n, r=r, max_degree=2 if k == 9 else 3, max_arity=k, alpha=0.3, seed=seed
+        ))
+    else:
+        model = random_raw_model(n, r, k, seed=seed)
+        assert any(set(a) < set(b) for a in model.potentials for b in model.potentials)
+    assert r == 2 or any(len(h) == 3 for h in model.potentials)
+    assert k < 9 or max(model.arities) >= 8
+    return model
+
+
+def _reference_joint(model):
+    """exact_joint's probabilities and log-partition by the broadcast loop."""
+    logw = np.zeros(model.arities)
+    for verts, tensor in model.potentials.items():
+        shape = tuple(model.arities[v] if v in verts else 1 for v in range(model.n))
+        logw = logw + tensor.values.reshape(shape)
+    peak = float(logw.max())
+    log_partition = peak + math.log(float(np.exp(logw - peak).sum()))
+    return np.exp(logw - log_partition), log_partition
+
+
+def _reference_cdf(model, u, nbrs):
+    """u's conditional CDFs, one conditional_distribution call per
+    neighbor configuration in itertools.product order."""
+    x = [0] * model.n
+    rows = np.empty((math.prod(model.arities[v] for v in nbrs), model.arities[u]))
+    for code, states in enumerate(itertools.product(*[range(model.arities[v]) for v in nbrs])):
+        for v, state in zip(nbrs, states):
+            x[v] = state
+        rows[code] = conditional_distribution(model, u, x)
+    return np.cumsum(rows, axis=1)
+
+
+def _reference_phi(model, u, revealed):
+    """Bob's phi, each weighted tensor aligned by argsort and reshape."""
+    d_u = clique_graph(model).degrees[u]
+    s = len(revealed)
+    phi = np.zeros((model.arities[u],) + tuple(model.arities[v] for v in revealed))
+    for verts in model.incident(u):
+        others = [v for v in verts if v != u]
+        if not set(others) <= set(revealed):
+            continue
+        coeff = math.comb(d_u, s) / math.comb(d_u - len(others), s - len(others))
+        target = [0 if v == u else 1 + revealed.index(v) for v in verts]
+        aligned = model.potentials[verts].values.transpose(np.argsort(target))
+        shape = [1] * (1 + s)
+        for pos, size in zip(sorted(target), aligned.shape):
+            shape[pos] = size
+        phi = phi + coeff * aligned.reshape(shape)
+    return phi
+
+
+@pytest.mark.parametrize("source, r, k, seed", LAYOUT_CASES)
+def test_exact_joint_matches_the_broadcast_loop_bit_for_bit(source, r, k, seed):
+    model = _layout_model(source, r, k, seed)
+    probs, log_partition = _reference_joint(model)
+    joint = exact_joint(model)
+    assert joint.probs.tobytes() == probs.tobytes()
+    assert joint.log_partition == log_partition
+
+
+@pytest.mark.parametrize("source, r, k, seed", LAYOUT_CASES)
+def test_gibbs_tables_match_conditional_distribution_bit_for_bit(source, r, k, seed):
+    model = _layout_model(source, r, k, seed)
+    for u, (nbrs, _, cdf) in enumerate(_conditional_tables(model)):
+        assert nbrs == sorted(clique_graph(model).neighbors[u])
+        assert cdf.tobytes() == _reference_cdf(model, u, nbrs).tobytes()
+
+
+@pytest.mark.parametrize("source, r, k, seed", LAYOUT_CASES)
+def test_phi_table_matches_the_argsort_alignment_bit_for_bit(source, r, k, seed):
+    model = _layout_model(source, r, k, seed)
+    straddling = 0  # revealed sets with u between their members
+    for u in range(model.n):
+        nbrs = sorted(clique_graph(model).neighbors[u])
+        for size in range(min(3, len(nbrs)) + 1):
+            for subset in itertools.combinations(nbrs, size):
+                for revealed in itertools.permutations(subset):
+                    phi, want = _phi_table(model, u, revealed), _reference_phi(model, u, revealed)
+                    assert phi.shape == want.shape
+                    assert phi.tobytes() == want.tobytes()
+                    straddling += min(revealed, default=u) < u < max(revealed, default=u)
+    assert straddling
 
 
 # ---------------------------------------------------------------- non-cancellation
