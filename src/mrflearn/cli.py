@@ -25,7 +25,7 @@ from .game import (
 from .generate import FeasibilityError, GeneratorSpec, generate_model
 from .inference import CapacityError, exact_joint
 from .learner import LearnConfig, learn_graph_erased, learn_graph_full, learn_graph_queried
-from .model import clique_graph, compute_gamma_delta
+from .model import MarkovRandomField, clique_graph, compute_gamma_delta
 from .sampling import ERASED, SampleSet, erase as erase_cells
 from .sampling import gibbs_sample, sample_exact
 
@@ -67,6 +67,14 @@ def _load_rows(path: str) -> SampleSet:
     if samples.m == 0:
         raise click.UsageError(f"sample file {path} holds no rows")
     return samples
+
+
+def _load_model(path: str) -> MarkovRandomField:
+    """Load a model file, rejecting a malformed one."""
+    try:
+        return io.load_model(path)
+    except ValueError as exc:
+        raise click.UsageError(f"model file {path}: {exc}") from exc
 
 
 @click.group()
@@ -115,7 +123,7 @@ def cmd_generate_model(n, r, max_degree, max_arity, alpha, beta, density, no_una
 @click.option("--out", type=click.Path(), required=True)
 def cmd_sample(model_path, m, seed, sampler, burn_in, thinning, out):
     """Draw samples from a model file."""
-    model = io.load_model(model_path)
+    model = _load_model(model_path)
     if sampler == "exact":
         with _spec_errors():
             joint = exact_joint(model)
@@ -159,7 +167,7 @@ def cmd_erase(samples_path, reveal_prob, seed, out):
 def cmd_learn(samples_path, model_path, mode, tau, budget, r, alpha, m, m_batch,
               seed, prune_sets, coverage_floor, out):
     """Run the structure learner and emit per-node records plus a summary."""
-    truth_model = io.load_model(model_path) if model_path else None
+    truth_model = _load_model(model_path) if model_path else None
     config = _learn_config(
         r=truth_model.r if truth_model is not None else r, tau=tau, budget=budget,
         prune_sets=prune_sets, coverage_floor=coverage_floor,
@@ -268,10 +276,13 @@ def cmd_play_game(model_path, node, rounds, seed, alpha, out):
     """Exact and Monte-Carlo expected payoff per node, against the
     theoretical bound per qualifying node (zero elsewhere); exits
     nonzero if any exact value misses its bound."""
-    model = io.load_model(model_path)
+    model = _load_model(model_path)
     with _spec_errors():
         joint = exact_joint(model)
     checks = {rec["node"]: rec for rec in verify_payoff_bounds(model, alpha, joint)}
+    if not checks:
+        raise click.UsageError(f"model file {model_path} has no non-isolated node; "
+                               "there is no game to play")
     if node is not None and node not in checks:
         where = "isolated" if 0 <= node < model.n else f"outside 0..{model.n - 1}"
         raise click.UsageError(f"--node {node} is {where}; there is no game to play")

@@ -64,7 +64,14 @@ def save_model(model: MarkovRandomField, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MarkovRandomField:
-    return model_from_json_dict(json.loads(Path(path).read_text()))
+    """Read a model file; one that is not a model (not JSON, a missing
+    key, a tensor that does not fill its shape) raises ValueError."""
+    try:
+        return model_from_json_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+    except TypeError as exc:  # e.g. a list where an object belongs
+        raise ValueError(str(exc)) from exc
 
 
 #: the largest arity a sample file may declare: the token table holds one

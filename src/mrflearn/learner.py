@@ -95,6 +95,9 @@ class LearnConfig:
             tau = detection_floors(model, alpha).conditioned / 2.0
         budget = override_L
         if budget is None:
+            if tau**2 == 0.0:
+                raise ValueError(f"tau = {tau!r} squares to 0 (float underflow), "
+                                 "so the theoretical budget 8 / tau^2 is undefined")
             budget = (8.0 / tau**2) * math.log(compute_gamma_delta(model).max_arity)
         return cls(r=model.r, tau=tau, budget=budget, **kw)
 

@@ -219,47 +219,47 @@ def is_centered(tensor: CliqueTensor, tol: float = CENTERING_TOL) -> bool:
     return True
 
 
-def center_values(values: np.ndarray) -> np.ndarray:
-    """Project a raw array onto its fully centered part (all fiber sums zero).
-
-    Subtracting the mean along each axis in turn commutes, so the result is
-    centered along every axis simultaneously.
-    """
+def _center(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The centering step: subtract the fiber mean along each axis in
+    turn, as the axis sum over the axis length.  Returns the centered
+    array and the mean subtracted along each axis (kept as a size-1 axis)."""
     out = np.asarray(values, dtype=float).copy()
+    means = []
     for axis in range(out.ndim):
-        out -= out.mean(axis=axis, keepdims=True)
-    return out
+        means.append(out.sum(axis=axis, keepdims=True) / out.shape[axis])
+        out -= means[-1]
+    return out, means
+
+
+def center_values(values: np.ndarray) -> np.ndarray:
+    """Project a raw array onto its fully centered part (all fiber sums
+    zero) by the centering step ``_center``.  Subtracting the mean along
+    each axis in turn commutes, so the result is centered along every
+    axis simultaneously."""
+    return _center(values)[0]
 
 
 def canonicalize(model: MarkovRandomField) -> MarkovRandomField:
     """Recenter all tensors without changing the probability law.
 
-    Works from the highest interaction order down: subtracting the
-    axis-m mean from a tensor and adding that mean to the tensor on the
-    remaining vertices leaves the log-density of every configuration
-    unchanged; the residue of unary recentering is a constant absorbed
-    by the normalization.  Tensors that become (numerically) zero are
+    Works from the highest interaction order down, applying the
+    centering step ``_center`` to every tensor: the mean it subtracts
+    along axis m of a tensor of order >= 2 is added to the tensor on the
+    remaining vertices, which leaves the log-density of every
+    configuration unchanged; a unary's mean is a constant absorbed by
+    the normalization.  Tensors that become (numerically) zero are
     dropped from storage.
     """
-    work: dict[Hyperedge, np.ndarray] = {
-        h: t.values.astype(float, copy=True) for h, t in model.potentials.items()
-    }
-    for order in range(model.r, 1, -1):
+    work = {h: t.values for h, t in model.potentials.items()}
+    for order in range(model.r, 0, -1):
         for verts in sorted(k for k in work if len(k) == order):
-            vals = work[verts]
-            for axis in range(order):
-                fiber_mean = vals.mean(axis=axis)
-                vals = vals - np.expand_dims(fiber_mean, axis)
+            work[verts], means = _center(work[verts])
+            if order == 1:
+                continue  # a unary's mean only shifts the normalization constant
+            for axis, mean in enumerate(means):
                 sub = verts[:axis] + verts[axis + 1 :]
-                if sub in work:
-                    work[sub] = work[sub] + fiber_mean
-                else:
-                    work[sub] = fiber_mean.copy()
-            work[verts] = vals
-    for verts in sorted(k for k in work if len(k) == 1):
-        # the subtracted scalar mean is the lowest-order residue; it only
-        # shifts the normalization constant
-        work[verts] = work[verts] - work[verts].mean()
+                mean = mean.squeeze(axis)  # a tensor over the vertices of sub
+                work[sub] = work[sub] + mean if sub in work else mean
     pots = {
         h: CliqueTensor(h, v) for h, v in work.items() if float(np.max(np.abs(v))) > PRUNE_TOL
     }

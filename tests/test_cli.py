@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -209,6 +210,16 @@ def test_play_game_rejects_an_out_of_range_node(tmp_path):
     assert "--node 3 is outside 0..2" in res.output
 
 
+def test_play_game_rejects_a_model_with_no_game(tmp_path):
+    model_path = str(tmp_path / "unary.json")
+    io.save_model(MarkovRandomField(2, (2, 2), {
+        (0,): CliqueTensor((0,), np.array([0.3, -0.3])),
+    }, r=2), model_path)
+    res = CliRunner().invoke(main, ["play-game", "--model", model_path, "--rounds", "10"])
+    assert res.exit_code == 2, res.output
+    assert model_path in res.output and "no game to play" in res.output
+
+
 def test_learn_full_mode_rejects_a_sample_file_with_erasures(tmp_path):
     erased = tmp_path / "erased.txt"
     erased.write_text("n=2 arities=2,2 seed=0\n1 2\n? 1\n2 2\n")
@@ -380,3 +391,55 @@ def test_learn_rejects_a_model_whose_arities_differ_from_the_samples(tmp_path):
     ])
     assert res.exit_code == 2, res.output
     assert "[2, 3, 2, 2]" in res.output and "[2, 2, 2]" in res.output
+
+
+_MALFORMED_MODELS = {
+    "short-values": {"n": 2, "arities": [2, 2], "r": 2, "tensors": [
+        {"vertices": [0, 1], "shape": [2, 2], "values": [0.1, -0.1, 0.2]}]},
+    "no-tensors": {"n": 2, "arities": [2, 2], "r": 2},
+    "not-json": "{this is not json",
+    "unsorted-vertices": {"n": 2, "arities": [2, 2], "r": 2, "tensors": [
+        {"vertices": [1, 0], "shape": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}]},
+}
+
+
+@pytest.mark.parametrize("flaw, message", [
+    ("short-values", "cannot reshape"),
+    ("no-tensors", "missing key 'tensors'"),
+    ("not-json", "Expecting property name"),
+    ("unsorted-vertices", "vertices must be strictly increasing"),
+])
+@pytest.mark.parametrize("command", ["sample", "play-game", "learn"])
+def test_a_malformed_model_file_is_a_usage_error(tmp_path, command, flaw, message):
+    bad = tmp_path / "bad.json"
+    payload = _MALFORMED_MODELS[flaw]
+    bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    samples = tmp_path / "samples.txt"
+    samples.write_text("n=2 arities=2,2 seed=0\n1 2\n2 1\n")
+    args = {
+        "sample": ["--m", "5", "--out", str(tmp_path / "out.txt")],
+        "play-game": ["--rounds", "10"],
+        "learn": ["--samples", str(samples), "--tau", "0.05", "-L", "3"],
+    }[command]
+    res = CliRunner().invoke(main, [command, "--model", str(bad)] + args)
+    assert res.exit_code == 2, res.output
+    assert f"model file {bad}: " in res.output and message in res.output
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_learn_reports_an_underflowing_theoretical_tau(tmp_path):
+    model_path = str(tmp_path / "steep.json")
+    samples_path = str(tmp_path / "samples.txt")
+    runner = CliRunner()
+    res = runner.invoke(main, [
+        "generate-model", "--n", "6", "-D", "3", "--alpha", "1", "--beta", "60",
+        "--seed", "0", "--out", model_path,
+    ])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["sample", "--model", model_path, "--m", "500", "--out", samples_path])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, [
+        "learn", "--samples", samples_path, "--model", model_path, "--tau", "0.01", "-L", "3",
+    ])
+    assert res.exit_code == 0, res.output
+    assert "float underflow" in json.loads(res.output)["theoretical_m"]["error"]

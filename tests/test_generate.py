@@ -119,6 +119,14 @@ def test_theoretical_sample_report_names_an_undefined_threshold(isolated_pair):
     assert report["error"].startswith("theoretical thresholds undefined: ")
 
 
+def test_an_underflowing_theoretical_tau_is_a_value_error():
+    # gamma ~ 65.7: the conditioned floor is ~1e-292, whose square is 0.0
+    model = generate_model(GeneratorSpec(n=6, max_degree=3, alpha=1.0, beta=60.0, seed=0))
+    with pytest.raises(ValueError, match="squares to 0"):
+        LearnConfig.from_model(model, 1.0)
+    assert "float underflow" in theoretical_sample_report(model, 1.0)["error"]
+
+
 def test_run_experiment_recovers_small_models():
     spec = GeneratorSpec(n=5, r=2, max_degree=2, alpha=0.4, seed=0)
     report = run_experiment(spec, small_config(), trials=4, mode="full", m=20_000, seed=3)

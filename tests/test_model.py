@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -84,6 +85,26 @@ def test_uncentered_matrix_detected():
 
 def test_ising_tensor_is_centered():
     assert is_centered(CliqueTensor((0, 1), ising_tensor(0.5)), tol=1e-12)
+
+
+@pytest.mark.parametrize("r, digest", [
+    (1, "3b6caaae6df42ffe4bfce20256b514e02eb2d955129c2f3f24216fd6a72164b0"),
+    (2, "1319b64e9d119fcfc5be1950a1a3d082e28bfd7576f5cec345ade22ee9d167c2"),
+    (3, "f96f841b59bb6acd3864f4f0b2b5ae6a4fc6c004c031a875825f6bd1242695be"),
+])
+def test_canonical_form_bits_are_frozen(r, digest):
+    # recorded before canonicalize and center_values shared one centering
+    # step; a last-bit change to any fiber mean moves every digest
+    h = hashlib.sha256()
+    for seed in range(30):
+        raw = random_raw_model(n=3 + seed % 4, r=r, max_arity=2 + seed % 3, seed=seed)
+        node = seed % raw.n
+        canon = canonicalize(raw)
+        for model in (canon, condition_on(raw, [node], [seed % raw.arities[node]]),
+                      condition_on(canon, [0, raw.n - 1], [1, 0])):
+            for verts, tensor in sorted(model.potentials.items()):
+                h.update(repr(verts).encode() + tensor.values.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_canonicalize_prunes_stored_zero_tensors():
