@@ -45,17 +45,26 @@ def model_to_json_dict(model: MarkovRandomField) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """A model file's integer field: 3.0 reads as 3, while a fraction such
+    as 3.7 is a ValueError naming the field, not a silent truncation."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_from_json_dict(payload: dict) -> MarkovRandomField:
     potentials = {}
     for entry in payload["tensors"]:
-        verts = tuple(int(v) for v in entry["vertices"])
-        values = np.array(entry["values"], dtype=float).reshape(entry["shape"])
+        verts = tuple(_integer(v, "vertices") for v in entry["vertices"])
+        shape = [_integer(k, "shape") for k in entry["shape"]]
+        values = np.array(entry["values"], dtype=float).reshape(shape)
         potentials[verts] = CliqueTensor(verts, values)
     return MarkovRandomField(
-        n=int(payload["n"]),
-        arities=tuple(int(k) for k in payload["arities"]),
+        n=_integer(payload["n"], "n"),
+        arities=tuple(_integer(k, "arities") for k in payload["arities"]),
         potentials=potentials,
-        r=int(payload["r"]),
+        r=_integer(payload["r"], "r"),
     )
 
 

@@ -4,6 +4,10 @@ All randomness flows from a single 64-bit seed: stages derive
 independent generators through ``spawn_rng`` so that model generation,
 sampling, erasure and learning are separately reproducible.  A node's
 Gibbs heat-bath table is one ``model._tensor_sum``, normalized by row.
+Exact draws go through one inverse-CDF sampler: a guide table over at
+most ``_MAX_BUCKETS`` equal buckets of [0, 1) (the indexed search of
+Chen & Asau, 1974) finds each configuration index, and two small state
+tables, one per half of the mixed-radix index, decode it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ _STAGE_KEYS = {
     "trial": 5,
     "oracle": 6,
 }
+
+#: cap on the guide table's buckets, so a guide holds at most 512 KiB
+_MAX_BUCKETS = 1 << 16
 
 
 def spawn_rng(seed: int, *key) -> np.random.Generator:
@@ -90,23 +97,54 @@ def inverse_cdf_sampler(
 
     The random stream does not depend on `nodes`: a draw restricted to
     some nodes equals the full draw's columns at those nodes.
+
+    Each key's index is ``searchsorted(cdf, key, side="right")``, found by
+    the guide-table search of Chen & Asau (1974) over B = 16 x
+    2^ceil(log2 |X|) equal buckets of [0, 1), at most ``_MAX_BUCKETS``.
+    When no CDF value lies in bucket b, every key in it has the index of
+    the edge b / B, which ``guide[b]`` holds; the keys of the other
+    buckets (``guide[b] = -1``) are searched.  The index is split where
+    both halves of the mixed-radix code hold about sqrt |X|
+    configurations, and each node's state is read from an
+    ``np.indices`` table of its half, in the smallest unsigned dtype.
     """
     shape = probs.shape
-    strides = [math.prod(shape[v + 1 :]) for v in range(len(shape))]
     cdf = np.cumsum(probs.ravel())
-    cdf[-1] = 1.0
+    cdf[-1] = 1.0  # keys lie below it, so no index passes the last cell
+    # B is a power of two, so key * B and b / B are exact
+    buckets = min(16 << (cdf.size - 1).bit_length(), _MAX_BUCKETS)
+    edges = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
+    guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    split = min(
+        range(len(shape) + 1),
+        key=lambda s: max(math.prod(shape[:s]), math.prod(shape[s:])),
+    )
+    high = math.prod(shape[:split])
+    low = cdf.size // high
+    dtype = np.min_scalar_type(max(shape) - 1)
+    states = [
+        *np.indices(shape[:split], dtype).reshape(split, high),
+        *np.indices(shape[split:], dtype).reshape(len(shape) - split, low),
+    ]
 
     def draw(count: int, nodes: Sequence[int] | None = None) -> np.ndarray:
         keys = rng.random(count)
-        # searchsorted is elementwise; sorted keys keep its bisection
-        # branches predictable, and the scatter restores the draw order
-        order = np.argsort(keys)
-        idx = np.empty(count, dtype=np.intp)
-        idx[order] = np.searchsorted(cdf, keys[order], side="right")
-        np.minimum(idx, cdf.size - 1, out=idx)
+        idx = guide[(keys * buckets).astype(np.intp)]
+        hard = np.flatnonzero(idx < 0)
+        if 2 * hard.size > count:
+            # sorted keys keep the bisection's memory reads close together
+            hard = hard[np.argsort(keys[hard])]
+        idx[hard] = np.searchsorted(cdf, keys[hard], side="right")
+        # the index's parts above and below the split: node v reads the
+        # first when v < split
+        above = idx // low
+        parts = (above, idx - above * low)
         if nodes is None:
             nodes = range(len(shape))
-        return np.stack([idx // strides[v] % shape[v] for v in nodes], axis=1)
+        out = np.empty((count, len(nodes)), dtype=dtype)
+        for j, v in enumerate(nodes):
+            out[:, j] = states[v][parts[v >= split]]
+        return out.astype(np.intp)
 
     return draw
 

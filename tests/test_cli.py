@@ -400,6 +400,16 @@ _MALFORMED_MODELS = {
     "not-json": "{this is not json",
     "unsorted-vertices": {"n": 2, "arities": [2, 2], "r": 2, "tensors": [
         {"vertices": [1, 0], "shape": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}]},
+    "fractional-n": {"n": 3.7, "arities": [2, 2, 2], "r": 2, "tensors": [
+        {"vertices": [0, 1], "shape": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}]},
+    "fractional-arity": {"n": 2, "arities": [2.5, 2], "r": 2, "tensors": [
+        {"vertices": [0, 1], "shape": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}]},
+    "fractional-r": {"n": 2, "arities": [2, 2], "r": 2.5, "tensors": [
+        {"vertices": [0, 1], "shape": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}]},
+    "fractional-vertex": {"n": 2, "arities": [2, 2], "r": 2, "tensors": [
+        {"vertices": [0.9, 1], "shape": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}]},
+    "fractional-shape": {"n": 2, "arities": [2, 2], "r": 2, "tensors": [
+        {"vertices": [0, 1], "shape": [2, 2.5], "values": [0.1, -0.1, -0.1, 0.1]}]},
 }
 
 
@@ -408,6 +418,11 @@ _MALFORMED_MODELS = {
     ("no-tensors", "missing key 'tensors'"),
     ("not-json", "Expecting property name"),
     ("unsorted-vertices", "vertices must be strictly increasing"),
+    ("fractional-n", "n must be an integer, got 3.7"),
+    ("fractional-arity", "arities must be an integer, got 2.5"),
+    ("fractional-r", "r must be an integer, got 2.5"),
+    ("fractional-vertex", "vertices must be an integer, got 0.9"),
+    ("fractional-shape", "shape must be an integer, got 2.5"),
 ])
 @pytest.mark.parametrize("command", ["sample", "play-game", "learn"])
 def test_a_malformed_model_file_is_a_usage_error(tmp_path, command, flaw, message):

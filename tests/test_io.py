@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ def test_model_roundtrip_in_memory():
         np.testing.assert_array_equal(
             back.potentials[key].values, model.potentials[key].values
         )
+
+
+def test_model_fields_written_as_integral_floats_load_as_integers():
+    model = generate_model(GeneratorSpec(n=5, r=3, max_arity=3, seed=2))
+    payload = model_to_json_dict(model)
+    as_floats = dict(payload, n=float(payload["n"]), r=float(payload["r"]),
+                     arities=[float(k) for k in payload["arities"]],
+                     tensors=[dict(t, vertices=[float(v) for v in t["vertices"]],
+                                   shape=[float(k) for k in t["shape"]])
+                              for t in payload["tensors"]])
+    # json.dumps spells 3.0 and 3 differently, so this also checks the types
+    assert json.dumps(model_to_json_dict(model_from_json_dict(as_floats))) == json.dumps(payload)
 
 
 def test_model_roundtrip_through_file(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ def _tables():
     sparse[-1, -1, -1, -1] = 0.0
     tables["zeros"] = sparse
     tables["coarse"] = np.array([[0.25, 0.25], [0.0, 0.5]])
+    # a 300-state node: the index splits unevenly (900 x 10) and the
+    # state tables need 16 bits
+    tables["wide"] = rng.random((3, 300, 2, 5))
+    # more cells than guide buckets: almost every bucket holds a CDF value,
+    # so most keys are searched (sorted); with one cell holding most of
+    # the mass, most keys skip the search and the few others are not sorted
+    tables["large"] = rng.random((2,) * 17)
+    peaked = rng.random((2,) * 17)
+    peaked[1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1] = 3e5
+    tables["large-peaked"] = peaked
     return {name: probs / probs.sum() for name, probs in tables.items()}
 
 
@@ -163,6 +174,29 @@ def test_draw_breaks_keys_equal_to_a_cdf_value_like_the_plain_inverse_cdf():
     keys = keys[::-1] + keys
     got = inverse_cdf_sampler(probs, _Keys(keys))(len(keys))
     np.testing.assert_array_equal(got, reference_draw(probs, _Keys(keys), len(keys)))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_draw_matches_the_plain_inverse_cdf_at_every_bucket_edge(name):
+    # every guide has a power-of-two bucket count of at most 2^16, so each
+    # bucket edge b / B is one of the k / 2^16
+    edges = np.arange(1 << 16) / (1 << 16)
+    keys = np.concatenate([edges, np.nextafter(edges, 0.0)[1:], np.nextafter(edges, 1.0)])
+    keys = np.random.default_rng(3).permutation(keys)
+    got = inverse_cdf_sampler(TABLES[name], _Keys(keys))(len(keys))
+    np.testing.assert_array_equal(got, reference_draw(TABLES[name], _Keys(keys), len(keys)))
+
+
+def test_sampler_tables_take_under_a_megabyte_beyond_the_cdf():
+    probs = np.full((2,) * 20, 2.0**-20)
+    tracemalloc.start()
+    try:
+        draw = inverse_cdf_sampler(probs, np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - probs.nbytes < 2**20  # the cdf takes as many bytes as probs
+    assert draw(3).shape == (3, 20)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
