@@ -246,11 +246,7 @@ def cmd_verify_bounds(models, n, r, max_degree, max_arity, alpha, beta, max_cond
         payoff = verify_payoff_bounds(model, alpha, joint)
         chain = verify_mi_chain(model, alpha, joint)
         floor = verify_conditioned_floor(model, alpha, max_cond_size, joint)
-        ok = (
-            all(rec["ok"] for rec in payoff)
-            and all(rec["ok"] for rec in chain)
-            and all(rec["ok"] for rec in floor)
-        )
+        ok = all(rec["ok"] for records in (payoff, chain, floor) for rec in records)
         all_ok &= ok
         summaries.append({
             "seed": seed + i,
@@ -276,6 +272,8 @@ def cmd_play_game(model_path, node, rounds, seed, alpha, out):
     """Exact and Monte-Carlo expected payoff per node, against the
     theoretical bound per qualifying node (zero elsewhere); exits
     nonzero if any exact value misses its bound."""
+    if not 0 < alpha < float("inf"):
+        raise click.UsageError(f"--alpha {alpha} must be positive and finite")
     model = _load_model(model_path)
     with _spec_errors():
         joint = exact_joint(model)

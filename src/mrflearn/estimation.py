@@ -19,9 +19,10 @@ label), then, per probe set I, adds the digits of I and u and sums the
 rows' counts with one bincount.  Slicing off the erased state of the I
 and u axes and the dropped label leaves the complete-case (u, I..., S)
 count table.  ``nu_hat_erased_sweep`` reduces a sweep's tables with
-``inference._nu_of_tables``, one stack per table shape, as the exact
-learner reduces the joint's marginals.  Conditioning configurations
-never observed contribute zero.
+``inference._nu_of_tables``, the one reducer of (u, I..., S) tables,
+exact or counted, one stack per table shape; a count table keeps the
+layout the kernel's slicing leaves.  Conditioning configurations never
+observed contribute zero.
 """
 
 from __future__ import annotations

@@ -39,6 +39,9 @@ from .model import (
 )
 from .sampling import inverse_cdf_sampler, spawn_rng
 
+#: the verifiers' one float slack: how far a checked inequality may miss
+SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class GameRound:
@@ -238,6 +241,8 @@ def expected_payoff_mc(
 def payoff_lower_bound(alpha: float, delta: float, r: int, gamma: float) -> float:
     """Guaranteed expected payoff for a node in an alpha-nonvanishing
     maximal hyperedge: 4 alpha^2 delta^(r-1) / (r^(2r) e^(2 gamma))."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha={alpha} must be positive and finite")
     return 4.0 * alpha**2 * delta ** (r - 1) / (r ** (2 * r) * math.exp(2.0 * gamma))
 
 
@@ -273,7 +278,7 @@ def theoretical_constants(
 
 
 def payoff_upper_bound_check(
-    model: MarkovRandomField, u: int, joint: JointTable | None = None, tol: float = 1e-12
+    model: MarkovRandomField, u: int, joint: JointTable | None = None
 ) -> dict:
     """Verify that no strategy can beat the marginal-deviation cap.
 
@@ -294,7 +299,7 @@ def payoff_upper_bound_check(
         "exact": exact,
         "upper": upper,
         "slack": upper - exact,
-        "ok": exact <= upper + tol,
+        "ok": exact <= upper + SLACK,
     }
 
 
@@ -342,13 +347,14 @@ def verify_payoff_bounds(
     records = []
     for u, strong, _ in _qualifying_nodes(model, alpha):
         exact = expected_payoff_exact(model, u, joint)
+        floor = bound if strong else 0.0
         records.append(
             {
                 "node": u,
                 "exact": exact,
-                "bound": bound if strong else 0.0,
+                "bound": floor,
                 "qualifies": strong,
-                "ok": (exact >= bound - 1e-12) if strong else exact >= -1e-12,
+                "ok": exact >= floor - SLACK,
             }
         )
     return records
@@ -370,21 +376,21 @@ def verify_mi_chain(
             nu = exact_nu(joint, u, revealed, ())
             mi = exact_conditional_mi(joint, u, revealed, ())
             dev = float(np.abs(_covariance(joint, u, revealed)).sum()) / model.arities[u]
-            links_ok &= math.sqrt(mi / 2.0) >= nu - 1e-12
+            links_ok &= math.sqrt(mi / 2.0) >= nu - SLACK
             # for S empty, dev is exactly nu summed over I's configurations
             k_revealed = math.prod(model.arities[v] for v in revealed)
-            links_ok &= abs(nu * k_revealed - dev) <= 1e-12
+            links_ok &= abs(nu * k_revealed - dev) <= SLACK
             nus.append(nu)
         mean_nu = float(np.mean(nus))
-        ok = links_ok and (not qual or mean_nu >= floors.unconditional - 1e-12)
+        floor = floors.unconditional if qual else 0.0
         records.append(
             {
                 "node": u,
                 "mean_nu": mean_nu,
-                "floor": floors.unconditional if qual else 0.0,
+                "floor": floor,
                 "qualifies": qual,
                 "links_ok": links_ok,
-                "ok": ok,
+                "ok": links_ok and mean_nu >= floor - SLACK,
             }
         )
     return records
@@ -419,7 +425,7 @@ def verify_conditioned_floor(
                         "cond": cond,
                         "mean_nu": mean_nu,
                         "floor": floors.conditioned,
-                        "ok": mean_nu >= floors.conditioned - 1e-12,
+                        "ok": mean_nu >= floors.conditioned - SLACK,
                     }
                 )
     return records

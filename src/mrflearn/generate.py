@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,10 @@ from .model import (
     validate_nondegeneracy,
 )
 from .sampling import spawn_rng
+
+
+#: draws of one tensor before the generator gives up on its entry range
+TENSOR_TRIES = 1000
 
 
 class FeasibilityError(RuntimeError):
@@ -39,23 +44,19 @@ class GeneratorSpec:
 
 
 def _centered_tensor(
-    rng: np.random.Generator,
-    dims: tuple[int, ...],
-    alpha: float | None,
-    beta: float,
-    tries: int = 1000,
+    rng: np.random.Generator, dims: tuple[int, ...], alpha: float | None, beta: float
 ) -> np.ndarray:
     """Draw uniform entries in [-beta, beta], center, and reject until the
     result stays within beta and (when alpha is set) has an entry of
     magnitude at least alpha."""
-    for _ in range(tries):
+    for _ in range(TENSOR_TRIES):
         values = center_values(rng.uniform(-beta, beta, size=dims))
         peak = float(np.max(np.abs(values)))
         if peak <= beta and (alpha is None or peak >= alpha):
             return values
     raise FeasibilityError(
         f"could not draw a centered tensor with entries in [{alpha}, {beta}] "
-        f"after {tries} tries"
+        f"after {TENSOR_TRIES} tries"
     )
 
 
@@ -66,9 +67,11 @@ def generate_model(spec: GeneratorSpec) -> MarkovRandomField:
     Interaction hyperedges (size 2..r) form an antichain so each is
     maximal and must be alpha-nonvanishing; unary potentials are only
     attached to covered nodes, keeping them non-maximal.  Raises when the
-    request is impossible (alpha <= 0, alpha > beta, max_arity < 2, or
-    nothing placeable).
+    request is impossible (alpha or beta not finite, 2 beta overflowing,
+    alpha <= 0, alpha > beta, max_arity < 2, or nothing placeable).
     """
+    if not all(map(math.isfinite, (spec.alpha, spec.beta, 2.0 * spec.beta))):
+        raise FeasibilityError(f"alpha={spec.alpha}, beta={spec.beta} and 2 beta must be finite")
     if spec.alpha <= 0:
         raise FeasibilityError(f"alpha={spec.alpha} must be positive")
     if spec.alpha > spec.beta:

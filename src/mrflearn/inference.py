@@ -4,11 +4,12 @@ Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
 learner estimates from samples.  The joint's log-density is one
-``model._tensor_sum``.  Every nu, exact or estimated, is one reduction,
-``_nu_of_stack``, of a stack of (u, I..., S) tables with S flattened:
-of marginal probabilities here, one stack per shape for a sweep
-(``exact_nu_sweep``; ``exact_nu`` is its sweep of one probe set), of
-counts in ``estimation``, one stack per sweep and shape.
+``model._tensor_sum``.  ``_uis_table`` makes every exact (u, I..., S)
+table, S flattened, in C order.  One reducer, ``_nu_of_tables``, turns
+a sweep's tables into nu and weight, one stack per table shape: of
+marginal probabilities here (``exact_nu_sweep``; ``exact_nu`` is its
+sweep of one probe set), of counts in ``estimation``.  Its margins step,
+``_margins``, also gives ``exact_conditional_mi`` its sums.
 """
 
 from __future__ import annotations
@@ -91,25 +92,32 @@ def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
 def _uis_table(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...]
 ) -> np.ndarray:
-    """The (u, I..., S) marginal of a validated triple, S flattened to one axis."""
+    """The (u, I..., S) marginal of a validated triple, S flattened to one
+    axis, in C order, so that its sums run in one order wherever it is
+    reduced."""
     group, cond = _check_disjoint(u, group, cond)
     table = marginal(joint, (u,) + group + cond)
-    return table.reshape(table.shape[: 1 + len(group)] + (-1,))
+    return np.ascontiguousarray(table.reshape(table.shape[: 1 + len(group)] + (-1,)))
+
+
+def _margins(stack: np.ndarray):
+    """The (u, S), (I..., S) and S sums of a stack of (u, I..., S) tables,
+    S flattened (axis 0 indexes the tables), every axis kept."""
+    p_us = stack.sum(axis=tuple(range(2, stack.ndim - 1)), keepdims=True)
+    p_is = stack.sum(axis=1, keepdims=True)
+    return p_us, p_is, p_us.sum(axis=1, keepdims=True)
 
 
 def exact_conditional_mi(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...] = ()
 ) -> float:
     """I(X_u ; X_group | X_cond) in nats, by direct summation."""
-    table = _uis_table(joint, u, group, cond)
-    p_us = table.sum(axis=tuple(range(1, table.ndim - 1)), keepdims=True)
-    p_is = table.sum(axis=0, keepdims=True)
-    p_s = p_us.sum(axis=0, keepdims=True)
+    table = _uis_table(joint, u, group, cond)[None]
+    p_us, p_is, p_s = _margins(table)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = table * p_s / (p_us * p_is)
         terms = np.where(table > 0.0, table * np.log(np.where(table > 0.0, ratio, 1.0)), 0.0)
-    mi = float(terms.sum())
-    return max(mi, 0.0)
+    return max(float(terms.sum()), 0.0)
 
 
 def _deviation(p_uis, a_us, a_is, a_s) -> np.ndarray:
@@ -133,57 +141,40 @@ def nu_from_marginals(
     """
     p_uis = np.asarray(p_uis, dtype=float)
     n_group = p_uis.ndim - np.asarray(p_s).ndim - 1
-    k_u = p_uis.shape[0]
-    a_us = np.asarray(p_us, dtype=float).reshape(
-        (k_u,) + (1,) * n_group + p_uis.shape[1 + n_group :]
-    )
+    k_u, s_shape = p_uis.shape[0], p_uis.shape[1 + n_group :]
+    a_us = np.asarray(p_us, dtype=float).reshape((k_u,) + (1,) * n_group + s_shape)
     a_is = np.asarray(p_is, dtype=float).reshape((1,) + p_uis.shape[1:])
-    a_s = np.asarray(p_s, dtype=float).reshape(
-        (1,) * (1 + n_group) + p_uis.shape[1 + n_group :]
-    )
+    a_s = np.asarray(p_s, dtype=float).reshape((1,) * (1 + n_group) + s_shape)
     dev = _deviation(p_uis, a_us, a_is, a_s)
-    n_outer = k_u * math.prod(p_uis.shape[1 : 1 + n_group])
-    return float(dev.sum()) / n_outer
+    return float(dev.sum()) / (k_u * math.prod(p_uis.shape[1 : 1 + n_group]))
 
 
-def _nu_of_stack(stack: np.ndarray) -> list[tuple[float, int | float]]:
-    """nu and weight of each (u, I..., S) table, S flattened, in a stack
-    of tables of one shape (axis 0 indexes the tables).
+def _nu_of_tables(tables: Sequence[np.ndarray]) -> list[tuple[float, int | float]]:
+    """nu and weight of each (u, I..., S) table of a sweep, S flattened,
+    reduced in one stack per table shape.
 
     A table's weight is its total (an int for counts, a float for
     probabilities), and nu is its count- or probability-weighted sum
     over S divided by that total; (0.0, total) when the total is zero.
-    Each table's deviations are summed on their own, but a float sum runs
-    in the stack's memory order, which ``np.stack`` takes from all of its
-    tables, so a value can move in the last bit with the other tables.
     """
-    p_us = stack.sum(axis=tuple(range(2, stack.ndim - 1)), keepdims=True)
-    p_is = stack.sum(axis=1, keepdims=True)
-    p_s = p_us.sum(axis=1, keepdims=True)
-    dev = _deviation(stack.astype(float, copy=False), p_us, p_is, p_s)
-    n_outer = math.prod(stack.shape[1:-1])
-    out = []
-    for g in range(stack.shape[0]):
-        total = p_s[g].sum().item()
-        out.append((float(dev[g].sum()) / n_outer / total if total else 0.0, total))
-    return out
-
-
-def _nu_of_tables(tables: Sequence[np.ndarray]) -> list[tuple[float, int | float]]:
-    """``_nu_of_stack`` of a sweep's tables, one stack per table shape."""
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for i, table in enumerate(tables):
         by_shape.setdefault(table.shape, []).append(i)
     out: list = [None] * len(tables)
     for index in by_shape.values():
-        for i, result in zip(index, _nu_of_stack(np.stack([tables[i] for i in index]))):
-            out[i] = result
+        stack = np.stack([tables[i] for i in index])
+        p_us, p_is, p_s = _margins(stack)
+        dev = _deviation(stack.astype(float, copy=False), p_us, p_is, p_s)
+        n_outer = math.prod(stack.shape[1:-1])
+        for g, i in enumerate(index):
+            total = p_s[g].sum().item()
+            out[i] = (float(dev[g].sum()) / n_outer / total if total else 0.0, total)
     return out
 
 
 def _nu_of_table(table: np.ndarray) -> tuple[float, int | float]:
-    """``_nu_of_stack`` of one table."""
-    return _nu_of_stack(np.asarray(table)[None])[0]
+    """``_nu_of_tables`` of one table."""
+    return _nu_of_tables([table])[0]
 
 
 def exact_nu_sweep(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_end_to_end_flow(tmp_path):
         "--tau", "0.012", "-L", "4", "--alpha", "0.4", "--out", result_path,
     ])
     assert res.exit_code == 0, res.output
-    payload = json.loads(open(result_path).read())
+    payload = json.loads(Path(result_path).read_text())
     assert payload["summary"]["exact_match"] is True
     assert payload["effective"]["tau"] == 0.012
 
@@ -272,6 +273,31 @@ def test_a_max_arity_below_two_is_a_usage_error(tmp_path, monkeypatch, command):
     assert res.exit_code == 2, res.output
     assert "max_arity=1: every node needs at least 2 states" in res.output
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("beta", ["inf", "1e308"])
+@pytest.mark.parametrize("command", [
+    ["generate-model", "--n", "4", "--out", "never.json"],
+    ["verify-bounds", "--models", "1"],
+    ["run-experiment", "--n", "4", "--tau", "0.05", "-L", "3"],
+])
+def test_an_overflowing_beta_is_a_usage_error(tmp_path, monkeypatch, command, beta):
+    # rng.uniform(-beta, beta) needs a finite 2 beta; 1e308 doubles past float64
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(main, command + ["--beta", beta])
+    assert res.exit_code == 2, res.output
+    assert "and 2 beta must be finite" in res.output
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
+def test_play_game_rejects_a_meaningless_alpha(tmp_path, alpha):
+    # alpha = -1 would hold every node to the alpha = 1 floor, 0 or nan to
+    # a floor of 0, and inf would let no node qualify: all pass vacuously
+    model_path = _save_weak_pair_with_isolated_node(tmp_path)
+    res = CliRunner().invoke(main, ["play-game", "--model", model_path, "--alpha", alpha])
+    assert res.exit_code == 2, res.output
+    assert "must be positive and finite" in res.output
 
 
 @pytest.mark.parametrize("rounds", ["0", "1"])

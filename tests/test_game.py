@@ -290,8 +290,8 @@ def test_mi_chain_link_check_catches_a_wrong_nu(monkeypatch):
 
 def test_mi_chain_and_conditioned_floor_agree_at_the_empty_set():
     # the chain averages one exact_nu call per probe set, the conditioned
-    # floor one exact_nu_sweep over them all; at S = () the means agree up
-    # to the float64 rounding of a table's sums inside a larger stack
+    # floor one exact_nu_sweep over them all; every exact table is reduced
+    # in one memory order, so at S = () the means agree bit for bit
     checked = 0
     models = small_models(10, n=5, r=2, seed0=11) + small_models(
         10, n=5, r=3, seed0=40, max_arity=3
@@ -301,7 +301,7 @@ def test_mi_chain_and_conditioned_floor_agree_at_the_empty_set():
         chain = {rec["node"]: rec["mean_nu"] for rec in verify_mi_chain(model, 0.3, joint)}
         for rec in verify_conditioned_floor(model, 0.3, 0, joint):
             assert rec["cond"] == ()
-            assert rec["mean_nu"] == pytest.approx(chain[rec["node"]], rel=0, abs=1e-15)
+            assert rec["mean_nu"] == chain[rec["node"]]
             checked += 1
     assert checked >= 20
 
@@ -376,6 +376,16 @@ def test_payoff_lower_bound_formula():
     assert payoff_lower_bound(0.5, 0.5 * math.exp(-1.0), 2, 0.5) == pytest.approx(
         4 * 0.25 * 0.5 * math.exp(-1.0) / (16 * math.exp(1.0))
     )
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan, math.inf])
+def test_payoff_floor_rejects_a_meaningless_alpha(alpha):
+    # the floor squares alpha, so -1 would read as 1, and nan or inf would
+    # leave no node qualifying and every check passing
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        payoff_lower_bound(alpha, 0.5, 2, 0.5)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        verify_payoff_bounds(small_models(1)[0], alpha)
 
 
 def test_mean_nu_rejects_covered_neighborhood(ising_pair):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mrflearn import (
@@ -40,6 +42,14 @@ def test_generator_rejects_contradictory_bounds():
 def test_generator_rejects_a_nonpositive_alpha(alpha):
     with pytest.raises(FeasibilityError, match="must be positive"):
         generate_model(GeneratorSpec(n=4, alpha=alpha))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0.2, math.inf), (0.2, 1e308), (math.nan, 1.0), (0.2, math.nan), (math.inf, math.inf),
+])
+def test_generator_rejects_a_nonfinite_alpha_or_beta(alpha, beta):
+    with pytest.raises(FeasibilityError, match="and 2 beta must be finite"):
+        generate_model(GeneratorSpec(n=4, alpha=alpha, beta=beta))
 
 
 def test_generator_rejects_tiny_problem():

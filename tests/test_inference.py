@@ -10,6 +10,7 @@ from mrflearn import (
     CapacityError,
     CliqueTensor,
     EmpiricalDistribution,
+    GeneratorSpec,
     MarkovRandomField,
     canonicalize,
     clique_graph,
@@ -18,6 +19,7 @@ from mrflearn import (
     exact_conditional_mi,
     exact_joint,
     exact_nu,
+    generate_model,
     marginal,
     nu_hat,
     sample_exact,
@@ -254,10 +256,27 @@ def test_exact_nu_is_its_sweep_entry():
             for group, value in zip(groups, exact_nu_sweep(joint, u, groups, cond)):
                 nu = exact_nu(joint, u, group, cond)
                 assert nu == exact_nu_sweep(joint, u, [group], cond)[0]
-                # np.stack lays a stack out after all of its tables, so a
-                # table's sums can run in another order beside others of
-                # its shape: equal up to float64 rounding
-                assert nu == pytest.approx(value, rel=0, abs=1e-15)
+                assert nu == value
+
+
+def test_exact_nu_alone_equals_its_sweep_value_on_a_generated_family():
+    # every exact table is C-ordered, so a table's sums do not depend on
+    # the tables of its shape stacked beside it
+    checked = 0
+    for seed in range(30):
+        model = generate_model(GeneratorSpec(
+            n=6, r=3, max_degree=3, max_arity=3, alpha=0.25, beta=0.9, seed=seed
+        ))
+        joint = exact_joint(model)
+        for u in range(model.n):
+            rest = [v for v in range(model.n) if v != u]
+            for cond in [()] + [(v,) for v in rest]:
+                free = [v for v in rest if v not in cond]
+                groups = [g for size in (1, 2) for g in itertools.combinations(free, size)]
+                for group, value in zip(groups, exact_nu_sweep(joint, u, groups, cond)):
+                    assert exact_nu(joint, u, group, cond) == value, (seed, u, group, cond)
+                    checked += 1
+    assert checked == 11_700
 
 
 @settings(max_examples=25, deadline=None)
