@@ -16,7 +16,10 @@ detection thresholds rest on, so the payoff floor and the
 detection-floor formulas live here.  One simulator plays the rounds
 (``play_round`` is its first, ``expected_payoff_mc`` averages many),
 and three verifiers walk the non-isolated nodes to check every link of
-that chain numerically on small models (probe-averaged nu: one ``exact_nu_sweep``).
+that chain numerically on small models.  The exact payoff, the wager
+cap's deviation, nu and MI of a probe set all read one marginal of the
+joint over (u, I...), taken once in ``_probes``; the conditioned floor's
+probe-averaged nu is one ``exact_nu_sweep``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import (
-    JointTable, exact_conditional_mi, exact_joint, exact_nu, exact_nu_sweep, marginal,
+    JointTable, _mi_of_table, _nu_of_tables, exact_joint, exact_nu_sweep, marginal,
+    exact_conditional_mi, exact_nu,  # unused here; perfbench/run.py --trace 1 patches them
 )
 from .model import (
     MarkovRandomField,
@@ -63,16 +67,37 @@ def _phi_table(model: MarkovRandomField, u: int, revealed: tuple[int, ...]) -> n
     the chance that an l-set of neighbors lands inside a uniform size-s
     subset; the unary potential is always visible with weight one.
     """
-    graph = clique_graph(model)
-    if not set(revealed) <= graph.neighbors[u]:
+    neighbors = _neighbors(model, u)
+    if not set(revealed) <= neighbors:
         raise ValueError(f"revealed set {revealed} is not inside the neighborhood of {u}")
-    d_u = graph.degrees[u]
+    d_u = len(neighbors)
     s = len(revealed)
     nodes = (u,) + revealed
     visible = [h for h in model.incident(u) if set(h) <= set(nodes)]
     weights = [math.comb(d_u, s) / math.comb(d_u - len(h) + 1, s - len(h) + 1) for h in visible]
     dims = [model.arities[v] for v in nodes]
     return _tensor_sum([model.potentials[h] for h in visible], nodes, dims, weights)
+
+
+def _neighbors(model: MarkovRandomField, u: int) -> frozenset:
+    """u's neighbors in the clique graph; u must be a node of the model."""
+    if not 0 <= u < model.n:
+        raise ValueError(f"node {u} is not a node of the model (0..{model.n - 1})")
+    return clique_graph(model).neighbors[u]
+
+
+def _phi_cell(model: MarkovRandomField, u: int, state: int, revealed, revealed_states):
+    """Bob's phi table over (u, revealed) and its (state, revealed_states)
+    cell, every state checked against its node's arity."""
+    revealed = tuple(int(v) for v in revealed)
+    phi = _phi_table(model, u, revealed)
+    cell = (int(state),) + tuple(int(x) for x in revealed_states)
+    if len(cell) != phi.ndim:
+        raise ValueError(f"{len(cell) - 1} revealed states for {len(revealed)} revealed nodes")
+    for v, x in zip((u,) + revealed, cell):
+        if not 0 <= x < model.arities[v]:
+            raise ValueError(f"state {x} out of range for node {v}")
+    return phi, cell
 
 
 def _wagers(phi: np.ndarray) -> np.ndarray:
@@ -91,11 +116,10 @@ def bob_phi(
 ) -> float:
     """Unbiased estimate of the local energy of u in `state` from the
     revealed neighbor subset, which must have size s when s is given."""
-    revealed = tuple(int(v) for v in revealed)
-    phi = _phi_table(model, u, revealed)
-    if s is not None and len(revealed) != s:
-        raise ValueError(f"revealed set has size {len(revealed)}, expected s={s}")
-    return float(phi[(state,) + tuple(int(x) for x in revealed_states)])
+    phi, cell = _phi_cell(model, u, state, revealed, revealed_states)
+    if s is not None and phi.ndim - 1 != s:
+        raise ValueError(f"revealed set has size {phi.ndim - 1}, expected s={s}")
+    return float(phi[cell])
 
 
 def bob_wager(
@@ -107,9 +131,8 @@ def bob_wager(
 ) -> float:
     """Bob's stake: the phi estimate of the challenged state minus the
     phi estimates of all rival states."""
-    revealed = tuple(int(v) for v in revealed)
-    wagers = _wagers(_phi_table(model, u, revealed))
-    return float(wagers[(state,) + tuple(int(x) for x in revealed_states)])
+    phi, cell = _phi_cell(model, u, state, revealed, revealed_states)
+    return float(_wagers(phi)[cell])
 
 
 def wager_cap(model: MarkovRandomField) -> float:
@@ -125,7 +148,7 @@ def wager_cap(model: MarkovRandomField) -> float:
 def _probe_sets(model: MarkovRandomField, u: int, excluded: frozenset = frozenset()):
     """Size-s subsets of u's neighborhood outside `excluded`,
     s = min(r-1, available)."""
-    pool = sorted(clique_graph(model).neighbors[u] - excluded)
+    pool = sorted(_neighbors(model, u) - excluded)
     s = min(model.r - 1, len(pool))
     if s == 0:
         return []
@@ -140,12 +163,24 @@ def _wager_tables(model: MarkovRandomField, u: int):
     ]
 
 
-def _covariance(joint: JointTable, u: int, revealed: tuple[int, ...]) -> np.ndarray:
-    """P(X_u, X_I) - P(X_u) P(X_I) over the axes (u, I...)."""
-    p_ui = marginal(joint, (u,) + revealed)
-    p_u = p_ui.sum(axis=tuple(range(1, p_ui.ndim)), keepdims=True)
-    p_i = p_ui.sum(axis=0, keepdims=True)
-    return p_ui - p_u * p_i
+def _probes(model: MarkovRandomField, u: int, joint: JointTable | None):
+    """Bob's exact payoff at u, the mean |P(X_u, X_I) - P(X_u) P(X_I)|
+    (both 0.0 at an isolated node, whose joint is never built) and per
+    probe set I: (I, its summed |covariance|, the C-ordered (u, I..., S=())
+    table nu and MI reduce), all from one marginal over (u, I...) per I."""
+    tables = _wager_tables(model, u)
+    if not tables:
+        return 0.0, 0.0, []
+    joint = joint or exact_joint(model)
+    payoff, probes = 0.0, []
+    for revealed, wagers in tables:
+        p_ui = marginal(joint, (u,) + revealed)
+        p_u = p_ui.sum(axis=tuple(range(1, p_ui.ndim)), keepdims=True)
+        cov = p_ui - p_u * p_ui.sum(axis=0, keepdims=True)
+        payoff += float((cov * wagers).sum())
+        probes.append((revealed, float(np.abs(cov).sum()), np.ascontiguousarray(p_ui[..., None])))
+    scale = model.arities[u] * len(tables)
+    return payoff / scale, sum(dev for _, dev, _ in probes) / scale, probes
 
 
 def _rounds(
@@ -211,15 +246,7 @@ def expected_payoff_exact(
     challenge and probe set, the payoff reduces to the covariance
     between the wager and the indicator of the challenged state.
     """
-    tables = _wager_tables(model, u)
-    if not tables:
-        return 0.0
-    joint = joint or exact_joint(model)
-    k_u = model.arities[u]
-    total = 0.0
-    for revealed, wagers in tables:
-        total += float((_covariance(joint, u, revealed) * wagers).sum())
-    return total / (k_u * len(tables))
+    return _probes(model, u, joint)[0]
 
 
 def expected_payoff_mc(
@@ -285,22 +312,10 @@ def payoff_upper_bound_check(
     Checks E[payoff] <= cap * E_{I, X_I, R} |P(X_u = R | X_I) - P(X_u = R)|,
     which can hold with equality for perfectly symmetric models.
     """
-    joint = joint or exact_joint(model)
-    subsets = _probe_sets(model, u)
-    if not subsets:
-        return {"node": u, "exact": 0.0, "upper": 0.0, "slack": 0.0, "ok": True}
-    deviation = sum(
-        float(np.abs(_covariance(joint, u, revealed)).sum()) for revealed in subsets
-    ) / (model.arities[u] * len(subsets))
+    exact, deviation, _ = _probes(model, u, joint)
     upper = wager_cap(model) * deviation
-    exact = expected_payoff_exact(model, u, joint)
-    return {
-        "node": u,
-        "exact": exact,
-        "upper": upper,
-        "slack": upper - exact,
-        "ok": exact <= upper + SLACK,
-    }
+    return {"node": u, "exact": exact, "upper": upper, "slack": upper - exact,
+            "ok": exact <= upper + SLACK}
 
 
 def mean_nu_over_probe_sets(joint: JointTable, u: int, cond: tuple[int, ...] = ()) -> float:
@@ -348,15 +363,8 @@ def verify_payoff_bounds(
     for u, strong, _ in _qualifying_nodes(model, alpha):
         exact = expected_payoff_exact(model, u, joint)
         floor = bound if strong else 0.0
-        records.append(
-            {
-                "node": u,
-                "exact": exact,
-                "bound": floor,
-                "qualifies": strong,
-                "ok": exact >= floor - SLACK,
-            }
-        )
+        records.append({"node": u, "exact": exact, "bound": floor, "qualifies": strong,
+                        "ok": exact >= floor - SLACK})
     return records
 
 
@@ -370,29 +378,18 @@ def verify_mi_chain(
     floors = detection_floors(model, alpha)
     records = []
     for u, qual, _ in _qualifying_nodes(model, alpha):
-        links_ok = payoff_upper_bound_check(model, u, joint)["ok"]
-        nus = []
-        for revealed in _probe_sets(model, u):
-            nu = exact_nu(joint, u, revealed, ())
-            mi = exact_conditional_mi(joint, u, revealed, ())
-            dev = float(np.abs(_covariance(joint, u, revealed)).sum()) / model.arities[u]
-            links_ok &= math.sqrt(mi / 2.0) >= nu - SLACK
-            # for S empty, dev is exactly nu summed over I's configurations
+        payoff, deviation, probes = _probes(model, u, joint)
+        links_ok = payoff <= wager_cap(model) * deviation + SLACK
+        nus = [nu for nu, _ in _nu_of_tables([table for _, _, table in probes])]
+        for (revealed, dev, table), nu in zip(probes, nus):
+            links_ok &= math.sqrt(_mi_of_table(table) / 2.0) >= nu - SLACK
+            # for S empty, dev / k_u is exactly nu summed over I's configurations
             k_revealed = math.prod(model.arities[v] for v in revealed)
-            links_ok &= abs(nu * k_revealed - dev) <= SLACK
-            nus.append(nu)
+            links_ok &= abs(nu * k_revealed - dev / model.arities[u]) <= SLACK
         mean_nu = float(np.mean(nus))
         floor = floors.unconditional if qual else 0.0
-        records.append(
-            {
-                "node": u,
-                "mean_nu": mean_nu,
-                "floor": floor,
-                "qualifies": qual,
-                "links_ok": links_ok,
-                "ok": links_ok and mean_nu >= floor - SLACK,
-            }
-        )
+        records.append({"node": u, "mean_nu": mean_nu, "floor": floor, "qualifies": qual,
+                        "links_ok": links_ok, "ok": links_ok and mean_nu >= floor - SLACK})
     return records
 
 
@@ -406,6 +403,8 @@ def verify_conditioned_floor(
     whose maximal hyperedges are all alpha-nonvanishing and every
     conditioning set (up to the size cap) that misses a neighbor, the
     probe-averaged exact nu clears the conditioned floor."""
+    if max_cond_size < 0:
+        raise ValueError(f"max_cond_size={max_cond_size} must be non-negative")
     joint = joint or exact_joint(model)
     floors = detection_floors(model, alpha)
     neighbors = clique_graph(model).neighbors
@@ -419,13 +418,7 @@ def verify_conditioned_floor(
                 if neighbors[u] <= set(cond):
                     continue
                 mean_nu = mean_nu_over_probe_sets(joint, u, cond)
-                records.append(
-                    {
-                        "node": u,
-                        "cond": cond,
-                        "mean_nu": mean_nu,
-                        "floor": floors.conditioned,
-                        "ok": mean_nu >= floors.conditioned - SLACK,
-                    }
-                )
+                records.append({"node": u, "cond": cond, "mean_nu": mean_nu,
+                                "floor": floors.conditioned,
+                                "ok": mean_nu >= floors.conditioned - SLACK})
     return records

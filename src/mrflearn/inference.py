@@ -9,7 +9,8 @@ table, S flattened, in C order.  One reducer, ``_nu_of_tables``, turns
 a sweep's tables into nu and weight, one stack per table shape: of
 marginal probabilities here (``exact_nu_sweep``; ``exact_nu`` is its
 sweep of one probe set), of counts in ``estimation``.  Its margins step,
-``_margins``, also gives ``exact_conditional_mi`` its sums.
+``_margins``, also gives ``_mi_of_table``, the table form of conditional
+MI, its sums.
 """
 
 from __future__ import annotations
@@ -112,12 +113,7 @@ def exact_conditional_mi(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...] = ()
 ) -> float:
     """I(X_u ; X_group | X_cond) in nats, by direct summation."""
-    table = _uis_table(joint, u, group, cond)[None]
-    p_us, p_is, p_s = _margins(table)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = table * p_s / (p_us * p_is)
-        terms = np.where(table > 0.0, table * np.log(np.where(table > 0.0, ratio, 1.0)), 0.0)
-    return max(float(terms.sum()), 0.0)
+    return _mi_of_table(_uis_table(joint, u, group, cond))
 
 
 def _deviation(p_uis, a_us, a_is, a_s) -> np.ndarray:
@@ -170,6 +166,15 @@ def _nu_of_tables(tables: Sequence[np.ndarray]) -> list[tuple[float, int | float
             total = p_s[g].sum().item()
             out[i] = (float(dev[g].sum()) / n_outer / total if total else 0.0, total)
     return out
+
+
+def _mi_of_table(table: np.ndarray) -> float:
+    """I(X_u ; X_I | X_S) in nats of one (u, I..., S) table, S flattened."""
+    p_us, p_is, p_s = _margins(table[None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = table * p_s / (p_us * p_is)
+        terms = np.where(table > 0.0, table * np.log(np.where(table > 0.0, ratio, 1.0)), 0.0)
+    return max(float(terms.sum()), 0.0)
 
 
 def _nu_of_table(table: np.ndarray) -> tuple[float, int | float]:

@@ -570,3 +570,38 @@ def test_12_complexity_shape(monkeypatch):
                 f"fixed m (target 2 +- 0.5); time per evaluation fits slope "
                 f"{kernel_slope:.2f} against distinct rows {[round(d) for d in rows_read]} "
                 f"(at most 1)")
+
+
+def _parity_triples():
+    # three disjoint triples, each a pure third-order 0.8 s1 s2 s3 tensor:
+    # every pair inside a triple is independent, so only r = 3 sees them
+    spin = np.array([-1.0, 1.0])
+    values = 0.8 * np.einsum("i,j,k->ijk", spin, spin, spin)
+    triples = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    return ml.MarkovRandomField(9, (2,) * 9, {t: CliqueTensor(t, values) for t in triples}, r=3)
+
+
+def test_13_higher_order_recovery():
+    model = _parity_triples()
+    joint = exact_joint(model)
+    truth = set(clique_graph(model).edges)
+    assert len(truth) == 9
+    pair_nu, triple_nu = exact_nu(joint, 0, (1,)), exact_nu(joint, 0, (1, 2))
+    assert pair_nu <= 1e-15 and triple_nu >= 0.08
+    for records in (
+        ml.verify_payoff_bounds(model, 0.8, joint),
+        ml.verify_mi_chain(model, 0.8, joint),
+        ml.verify_conditioned_floor(model, 0.8, 2, joint),
+    ):
+        assert records and all(rec["ok"] for rec in records)
+    for seed in range(4):
+        samples = sample_exact(joint, 20_000, seed=1300 + seed)
+        third = learn_graph_full(samples, LearnConfig(r=3, tau=0.03, budget=3))
+        pairwise = learn_graph_full(samples, LearnConfig(r=2, tau=0.03, budget=3))
+        assert third.edges == truth, seed
+        assert third.accounting["evaluations"] == 531
+        # the paper's point, not a defect: no pairwise statistic sees a parity
+        assert pairwise.edges == set(), seed
+    _report(13, f"order-3 parities (pair nu {pair_nu:.1e}, triple nu {triple_nu:.3f}): "
+                f"r=3 recovered all 9 edges from 20k samples at 4 seeds in 531 "
+                f"evaluations, r=2 found none; the three verifiers pass at alpha 0.8")

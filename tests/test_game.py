@@ -93,6 +93,44 @@ def test_wager_unbiased_over_reveals(chain3):
         assert avg == pytest.approx(gap, abs=1e-12)
 
 
+# every public game function that takes a target node u
+GAME_CALLS = {
+    "play_round": lambda m, u: play_round(m, u, spawn_rng(0, "game")),
+    "expected_payoff_mc": lambda m, u: expected_payoff_mc(m, u, 10, 0),
+    "expected_payoff_exact": expected_payoff_exact,
+    "payoff_upper_bound_check": payoff_upper_bound_check,
+    "mean_nu_over_probe_sets": lambda m, u: mean_nu_over_probe_sets(exact_joint(m), u),
+    "bob_phi": lambda m, u: bob_phi(m, u, 0, (0,), (0,)),
+    "bob_wager": lambda m, u: bob_wager(m, u, 0, (0,), (0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAME_CALLS))
+def test_game_rejects_a_node_outside_the_model(name):
+    # -1 used to read node n-1's neighbourhood and n to raise from numpy
+    model = generate_model(GeneratorSpec(n=5, seed=1))
+    for u in (-1, model.n):
+        with pytest.raises(ValueError, match=f"node {u} is not a node"):
+            GAME_CALLS[name](model, u)
+
+
+@pytest.mark.parametrize("fn", [bob_phi, bob_wager])
+@pytest.mark.parametrize("state, revealed_states, message", [
+    (-1, (0,), "state -1 out of range for node 0"),  # used to read state k-1
+    (2, (0,), "state 2 out of range for node 0"),  # used to raise IndexError
+    (0, (-1,), "state -1 out of range for node 2"),  # used to read state 1
+    (0, (2,), "state 2 out of range for node 2"),
+    (0, (), "0 revealed states for 1 revealed nodes"),  # used to raise TypeError
+    (0, (0, 0), "2 revealed states for 1 revealed nodes"),  # used to raise IndexError
+])
+def test_phi_and_wager_reject_unchecked_states(fn, state, revealed_states, message):
+    model = generate_model(GeneratorSpec(n=5, seed=1))
+    assert model.arities[0] == model.arities[2] == 2
+    fn(model, 0, 1, (2,), (1,))
+    with pytest.raises(ValueError, match=message):
+        fn(model, 0, state, (2,), revealed_states)
+
+
 def test_wager_zero_for_zero_potentials():
     model = MarkovRandomField(3, (2, 2, 2), {(0, 1): CliqueTensor((0, 1), np.zeros((2, 2)))}, r=2)
     assert bob_wager(model, 0, 0, (1,), (0,)) == 0.0
@@ -278,14 +316,62 @@ def test_mi_chain_links_hold():
             assert record["ok"], record
 
 
-def test_mi_chain_link_check_catches_a_wrong_nu(monkeypatch):
+def _broken_chain(monkeypatch, name, mutate):
+    # the chain's records with one of its game-module reads mutated
     import mrflearn.game as game
 
-    exact = game.exact_nu
-    monkeypatch.setattr(game, "exact_nu", lambda *args: 1.01 * exact(*args))
+    monkeypatch.setattr(game, name, mutate(getattr(game, name)))
     records = verify_mi_chain(small_models(1, n=5, r=2, seed0=11)[0], 0.3)
     assert records
+    return records
+
+
+def test_mi_chain_link_check_catches_a_wrong_nu(monkeypatch):
+    # nu 1% high breaks the nu-vs-covariance link of every probe set
+    records = _broken_chain(monkeypatch, "_nu_of_tables", lambda reduce: lambda tables: [
+        (1.01 * nu, weight) for nu, weight in reduce(tables)
+    ])
     assert not any(record["links_ok"] for record in records)
+
+
+def test_mi_chain_link_check_catches_a_shrunk_mi(monkeypatch):
+    # MI a hundredth of its value falls below Pinsker's 2 nu^2
+    records = _broken_chain(monkeypatch, "_mi_of_table", lambda mi: lambda t: 0.01 * mi(t))
+    assert not any(record["links_ok"] for record in records)
+
+
+def test_mi_chain_link_check_catches_a_zero_wager_cap(monkeypatch):
+    # a zero cap leaves no room for the positive exact payoff
+    records = _broken_chain(monkeypatch, "wager_cap", lambda cap: lambda model: 0.0)
+    assert not any(record["links_ok"] for record in records)
+
+
+def test_payoff_and_chain_sum_the_joint_once_per_probe_set(monkeypatch):
+    # payoff, cap deviation, nu and MI of a probe set all read one marginal
+    import mrflearn.game as game
+    import mrflearn.inference as inference
+
+    calls = []
+
+    def counted(joint, nodes):
+        calls.append(nodes)
+        return marginal(joint, nodes)
+
+    monkeypatch.setattr(game, "marginal", counted)
+    monkeypatch.setattr(inference, "marginal", counted)
+    models = small_models(5, n=5, r=2, seed0=11) + small_models(5, n=5, r=3, seed0=40)
+    for model in models:
+        joint = exact_joint(model)
+        graph = clique_graph(model)
+        probes = sum(
+            len(list(itertools.combinations(graph.neighbors[u], min(model.r - 1, d))))
+            for u, d in enumerate(graph.degrees) if d
+        )
+        assert probes
+        for verify in (verify_payoff_bounds, verify_mi_chain):
+            calls.clear()
+            verify(model, 0.3, joint)
+            assert len(calls) == probes, verify.__name__
 
 
 def test_mi_chain_and_conditioned_floor_agree_at_the_empty_set():
@@ -386,6 +472,12 @@ def test_payoff_floor_rejects_a_meaningless_alpha(alpha):
         payoff_lower_bound(alpha, 0.5, 2, 0.5)
     with pytest.raises(ValueError, match="must be positive and finite"):
         verify_payoff_bounds(small_models(1)[0], alpha)
+
+
+def test_conditioned_floor_rejects_a_negative_size_cap():
+    # a negative cap used to check no conditioning set and pass vacuously
+    with pytest.raises(ValueError, match="max_cond_size=-3 must be non-negative"):
+        verify_conditioned_floor(small_models(1)[0], 0.3, max_cond_size=-3)
 
 
 def test_mean_nu_rejects_covered_neighborhood(ising_pair):
