@@ -7,22 +7,25 @@ nu-hat measures, from samples, how far the joint conditional law of
     observed x_S of |Phat(u=R, I=G | x_S) - Phat(u=R | x_S) Phat(I=G | x_S)|
 
 nu-hat depends on a sample only through its empirical joint, so the
-estimators read a weighted row set: distinct rows of compact columns,
-node v's states 0..k_v - 1 plus one extra state k_v for an erased cell,
-each with a count.  An ``EmpiricalDistribution`` keeps a stored sample
-set as its distinct rows (``_distinct_rows`` of its ``_extended_block``)
-and the int64 count of each; a queried batch is its raw rows, each
-counted once.  One kernel, ``_count_tables``, serves every estimator:
-for a fixed (u, S) it labels each row once by its conditioning
-configuration (rows erasing a member of S get one extra "dropped"
-label), then, per probe set I, adds the digits of I and u and sums the
-rows' counts with one bincount.  Slicing off the erased state of the I
-and u axes and the dropped label leaves the complete-case (u, I..., S)
-count table.  ``nu_hat_erased_sweep`` reduces a sweep's tables with
-``inference._nu_of_tables``, the one reducer of (u, I..., S) tables,
-exact or counted, one stack per table shape; a count table keeps the
-layout the kernel's slicing leaves.  Conditioning configurations never
-observed contribute zero.
+estimators read counts over an extended alphabet: node v's states
+0..k_v - 1 plus one extra state k_v for an erased cell.  An
+``EmpiricalDistribution`` keeps a stored sample set as its distinct rows
+of compact columns (``_distinct_rows`` of its ``_extended_block``) and
+the int64 count of each.  For these, one kernel, ``_count_tables``,
+serves a whole sweep: for a fixed (u, S) it labels each row once by its
+conditioning configuration (rows erasing a member of S get one extra
+"dropped" label), then, per probe set I, adds the digits of I and u and
+sums the rows' counts with one bincount.  Slicing off the erased state
+of the I and u axes and the dropped label leaves the complete-case
+(u, I..., S) count table.  A bounded query returns no rows: the
+``QueryOracle`` hands back the batch's count table over the nodes asked,
+axes in the order requested, each over the extended alphabet, and
+``nu_hat_queried`` slices the erased states off the table of
+(S..., I..., u).  ``inference._nu_of_tables`` is the one reducer of
+(u, I..., S) tables, exact or counted, one stack per table shape; the
+queried table is laid out as the kernel's tables are, so that both
+reduce in one order.  Conditioning configurations never observed
+contribute zero.
 """
 
 from __future__ import annotations
@@ -33,8 +36,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .inference import _check_disjoint, _nu_of_table, _nu_of_tables
-from .sampling import ERASED, SampleSet, inverse_cdf_sampler, spawn_rng
+from .inference import (
+    MAX_CONFIGURATIONS,
+    _check_disjoint,
+    _check_nodes,
+    _nu_of_table,
+    _nu_of_tables,
+)
+from .sampling import ERASED, SampleSet, inverse_cdf_tally, spawn_rng
 
 
 class InsufficientCoverageError(RuntimeError):
@@ -139,7 +148,7 @@ def _count_tables(
     counts out as (S, I..., u); rows erasing u or a member of I land in
     the erased state of that axis.
     """
-    groups = [_check_disjoint(u, group, cond)[0] for group in groups]
+    groups = [_check_disjoint(u, group, cond, len(arities))[0] for group in groups]
     cond = tuple(int(v) for v in cond)
     n_s = math.prod(arities[v] for v in cond)
     for group in groups:
@@ -226,10 +235,14 @@ class QueryOracle:
     """Serves bounded queries: per fresh sample, observe at most
     `capacity` nodes of your choosing.  Stateful; one consumer at a time.
 
-    `source(m, nodes)` returns the next m samples at the listed nodes.
+    `source(m, nodes)` returns the count table of the next m samples over
+    the listed nodes: its axes follow the order of `nodes`, and node v's
+    axis runs over the extended alphabet k_v + 1 of `arities`, state k_v
+    counting the samples that erase v.
     """
 
     source: Callable[[int, list[int]], np.ndarray]
+    arities: tuple[int, ...]
     capacity: int
     consumed: int = 0
     queries_issued: int = 0
@@ -238,38 +251,55 @@ class QueryOracle:
     @classmethod
     def from_joint(cls, joint, capacity: int, seed: int) -> "QueryOracle":
         """Back the oracle by fresh exact draws from a joint table."""
-        draw = inverse_cdf_sampler(joint.probs, spawn_rng(seed, "oracle"))
-        return cls(source=draw, capacity=capacity)
+        tally = inverse_cdf_tally(joint.probs, spawn_rng(seed, "oracle"))
+        return cls(source=tally, arities=joint.arities, capacity=capacity)
 
     @classmethod
     def from_samples(cls, samples: SampleSet, capacity: int) -> "QueryOracle":
-        """Back the oracle by a finite pre-drawn stream; raises when spent."""
+        """Back the oracle by a finite pre-drawn stream, whose rows may be
+        erased; raises when spent."""
         cursor = {"pos": 0}
-        data = samples.data
+        data, arities = samples.data, samples.arities
 
-        def draw(m: int, nodes: list[int]) -> np.ndarray:
+        def tally(m: int, nodes: list[int]) -> np.ndarray:
             if cursor["pos"] + m > data.shape[0]:
                 raise RuntimeError("sample stream exhausted")
-            out = data[cursor["pos"] : cursor["pos"] + m, nodes]
+            sub_arities = [arities[v] for v in nodes]
+            block = _extended_block(data[cursor["pos"] : cursor["pos"] + m, nodes], sub_arities)
             cursor["pos"] += m
-            return out
+            code = np.zeros(m, dtype=np.intp)
+            for row, k in zip(block, sub_arities):
+                code = code * (k + 1) + row
+            radix = tuple(k + 1 for k in sub_arities)
+            return np.bincount(code, minlength=math.prod(radix)).reshape(radix)
 
-        return cls(source=draw, capacity=capacity)
+        return cls(source=tally, arities=arities, capacity=capacity)
 
     def query(self, nodes: tuple[int, ...], m_batch: int) -> np.ndarray:
-        """Observe the given nodes on m_batch fresh samples."""
-        nodes = tuple(sorted(int(v) for v in nodes))
+        """The count table of m_batch fresh samples over `nodes`, axes in
+        the order given (see the class docstring)."""
+        nodes = tuple(int(v) for v in nodes)
+        _check_nodes(nodes, len(self.arities), "the query")
         if len(nodes) > self.capacity:
             raise QueryCapacityError(
                 f"query of size {len(nodes)} exceeds capacity {self.capacity}"
             )
+        cells = math.prod(self.arities[v] + 1 for v in nodes)
+        if cells > MAX_CONFIGURATIONS:
+            raise QueryCapacityError(
+                f"the count table of nodes {nodes} has {cells} cells, past the cap of "
+                f"{MAX_CONFIGURATIONS}"
+            )
+        if not float(m_batch).is_integer():
+            raise ValueError(f"batch size must be an integer, got {m_batch!r}")
+        m_batch = int(m_batch)
         if m_batch < 1:
             raise ValueError("batch size must be >= 1")
-        block = self.source(m_batch, list(nodes))
+        table = self.source(m_batch, list(nodes))
         self.consumed += m_batch
         self.queries_issued += 1
         self.max_query_size = max(self.max_query_size, len(nodes))
-        return block
+        return table
 
 
 def nu_hat_queried(
@@ -280,15 +310,24 @@ def nu_hat_queried(
     m_batch: int,
     arities: tuple[int, ...],
 ) -> float:
-    """nu-hat over one fresh batch obtained through a bounded query."""
-    group, cond = _check_disjoint(u, group, cond)
-    nodes = tuple(sorted((u,) + group + cond))
-    sub_arities = [arities[v] for v in nodes]
-    block = _extended_block(oracle.query(nodes, m_batch), sub_arities)
-    row = nodes.index  # u, I and S relabelled to their rows of the block
-    group, cond = tuple(map(row, group)), tuple(map(row, cond))
-    (table,) = _count_tables(block, sub_arities, row(u), [group], cond)
-    value, usable = _nu_of_table(table)
+    """nu-hat over one fresh batch obtained through a bounded query.
+
+    The query's (S..., I..., u) count table, its erased states sliced
+    off and S flattened, is laid out as ``_count_tables`` leaves its
+    tables: (u, I..., S) axes over (S, I..., u) memory, and, when S has
+    more configurations than the batch has rows, only the S
+    configurations seen in a row that reveals all of S.
+    """
+    group, cond = _check_disjoint(u, group, cond, len(arities))
+    table = oracle.query(cond + group + (u,), m_batch)
+    k_s = tuple(arities[v] for v in cond)
+    n_s = math.prod(k_s)
+    complete = table[tuple(slice(arities[v]) for v in cond + group + (u,))]
+    complete = complete.reshape((n_s,) + complete.shape[len(cond) :])
+    if n_s > m_batch:
+        seen = table[tuple(map(slice, k_s))].reshape((n_s, -1)).any(axis=1)
+        complete = complete[seen]
+    value, usable = _nu_of_table(complete.swapaxes(0, -1))
     if usable == 0:
         raise InsufficientCoverageError("no complete samples for this node set")
     return value

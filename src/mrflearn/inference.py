@@ -76,17 +76,26 @@ def marginal(joint: JointTable, nodes: tuple[int, ...]) -> np.ndarray:
     return summed.transpose(perm)
 
 
-def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...]):
-    """Validate a (u, I, S) triple for nu or conditional MI: I nonempty,
-    u, I and S pairwise disjoint and free of repeats."""
-    group = tuple(int(v) for v in group)
-    cond = tuple(int(v) for v in cond)
+def _check_nodes(nodes: tuple[int, ...], n: int, role: str) -> None:
+    """Every node in 0..n-1 and none repeated; a ValueError names the
+    first node that is not, and `role` says what the nodes are."""
+    if not nodes or (0 <= min(nodes) and max(nodes) < n and len(set(nodes)) == len(nodes)):
+        return
+    for j, v in enumerate(nodes):
+        if not 0 <= v < n:
+            raise ValueError(f"node {v} is not a node of the model (0..{n - 1})")
+        if v in nodes[:j]:
+            raise ValueError(f"node {v} appears twice in {role} {nodes}")
+
+
+def _check_disjoint(u: int, group: tuple[int, ...], cond: tuple[int, ...], n: int):
+    """Validate a (u, I, S) triple for nu or conditional MI over n nodes:
+    I nonempty, and u, I and S made of distinct nodes in 0..n-1."""
+    group = tuple(map(int, group))
+    cond = tuple(map(int, cond))
     if not group:
         raise ValueError("the probed set I must be nonempty")
-    if u in group or u in cond or set(group) & set(cond):
-        raise ValueError(f"u={u}, I={group}, S={cond} must be disjoint")
-    if len(set(group)) != len(group) or len(set(cond)) != len(cond):
-        raise ValueError("repeated nodes in I or S")
+    _check_nodes((u, *group, *cond), n, "u, I and S")
     return group, cond
 
 
@@ -96,7 +105,7 @@ def _uis_table(
     """The (u, I..., S) marginal of a validated triple, S flattened to one
     axis, in C order, so that its sums run in one order wherever it is
     reduced."""
-    group, cond = _check_disjoint(u, group, cond)
+    group, cond = _check_disjoint(u, group, cond, joint.model.n)
     table = marginal(joint, (u,) + group + cond)
     return np.ascontiguousarray(table.reshape(table.shape[: 1 + len(group)] + (-1,)))
 

@@ -4,10 +4,15 @@ All randomness flows from a single 64-bit seed: stages derive
 independent generators through ``spawn_rng`` so that model generation,
 sampling, erasure and learning are separately reproducible.  A node's
 Gibbs heat-bath table is one ``model._tensor_sum``, normalized by row.
-Exact draws go through one inverse-CDF sampler: a guide table over at
-most ``_MAX_BUCKETS`` equal buckets of [0, 1) (the indexed search of
-Chen & Asau, 1974) finds each configuration index, and two small state
-tables, one per half of the mixed-radix index, decode it.
+Exact draws go through one inverse-CDF index step: a guide table over
+at most ``_MAX_BUCKETS`` equal buckets of [0, 1) (the indexed search of
+Chen & Asau, 1974) finds each configuration index.  From that index,
+``inverse_cdf_sampler`` decodes rows through two small state tables, one
+per half of the mixed-radix index, and ``inverse_cdf_tally`` counts a
+batch without making rows: two small code tables, one per half, give
+each draw's code over the requested nodes, and one bincount returns
+their count table over the extended alphabet (k_v + 1 states per node,
+the last for an erased cell), axes in the order requested.
 """
 
 from __future__ import annotations
@@ -88,25 +93,21 @@ class SampleSet:
         return self.data.shape[1]
 
 
-def inverse_cdf_sampler(
-    probs: np.ndarray, rng: np.random.Generator
-) -> Callable[..., np.ndarray]:
-    """Return draw(count, nodes=None): `count` i.i.d. configurations of the
-    probability table `probs` by inverse CDF on ``rng.random(count)``, one
-    row each holding the states of `nodes` (every node when None).
+def _guide_index(probs: np.ndarray, rng: np.random.Generator):
+    """The index step shared by ``inverse_cdf_sampler`` and
+    ``inverse_cdf_tally``: ``(index, states, split)``.
 
-    The random stream does not depend on `nodes`: a draw restricted to
-    some nodes equals the full draw's columns at those nodes.
-
-    Each key's index is ``searchsorted(cdf, key, side="right")``, found by
-    the guide-table search of Chen & Asau (1974) over B = 16 x
+    ``index(count)`` draws ``rng.random(count)`` and returns each key's
+    configuration index, ``searchsorted(cdf, key, side="right")``, split
+    into its parts above and below the split of the mixed-radix code.
+    The search is the guide table of Chen & Asau (1974) over B = 16 x
     2^ceil(log2 |X|) equal buckets of [0, 1), at most ``_MAX_BUCKETS``.
     When no CDF value lies in bucket b, every key in it has the index of
     the edge b / B, which ``guide[b]`` holds; the keys of the other
-    buckets (``guide[b] = -1``) are searched.  The index is split where
-    both halves of the mixed-radix code hold about sqrt |X|
-    configurations, and each node's state is read from an
-    ``np.indices`` table of its half, in the smallest unsigned dtype.
+    buckets (``guide[b] = -1``) are searched.  The split leaves about
+    sqrt |X| configurations in each part, and ``states[v]`` holds node
+    v's state in each configuration of its part (the first part when
+    v < split), as an ``np.indices`` table in the smallest unsigned dtype.
     """
     shape = probs.shape
     cdf = np.cumsum(probs.ravel())
@@ -127,7 +128,7 @@ def inverse_cdf_sampler(
         *np.indices(shape[split:], dtype).reshape(len(shape) - split, low),
     ]
 
-    def draw(count: int, nodes: Sequence[int] | None = None) -> np.ndarray:
+    def index(count: int) -> tuple[np.ndarray, np.ndarray]:
         keys = rng.random(count)
         idx = guide[(keys * buckets).astype(np.intp)]
         hard = np.flatnonzero(idx < 0)
@@ -135,18 +136,67 @@ def inverse_cdf_sampler(
             # sorted keys keep the bisection's memory reads close together
             hard = hard[np.argsort(keys[hard])]
         idx[hard] = np.searchsorted(cdf, keys[hard], side="right")
-        # the index's parts above and below the split: node v reads the
-        # first when v < split
         above = idx // low
-        parts = (above, idx - above * low)
+        return above, idx - above * low
+
+    return index, states, split
+
+
+def inverse_cdf_sampler(
+    probs: np.ndarray, rng: np.random.Generator
+) -> Callable[..., np.ndarray]:
+    """Return draw(count, nodes=None): `count` i.i.d. configurations of the
+    probability table `probs` by inverse CDF on ``rng.random(count)``, one
+    row each holding the states of `nodes` (every node when None).
+
+    The random stream does not depend on `nodes`: a draw restricted to
+    some nodes equals the full draw's columns at those nodes.  Each
+    node's state is read from the ``_guide_index`` state table of its
+    part of the index.
+    """
+    index, states, split = _guide_index(probs, rng)
+
+    def draw(count: int, nodes: Sequence[int] | None = None) -> np.ndarray:
+        parts = index(count)
         if nodes is None:
-            nodes = range(len(shape))
-        out = np.empty((count, len(nodes)), dtype=dtype)
+            nodes = range(probs.ndim)
+        out = np.empty((count, len(nodes)), dtype=states[0].dtype)
         for j, v in enumerate(nodes):
             out[:, j] = states[v][parts[v >= split]]
         return out.astype(np.intp)
 
     return draw
+
+
+def inverse_cdf_tally(
+    probs: np.ndarray, rng: np.random.Generator
+) -> Callable[[int, Sequence[int]], np.ndarray]:
+    """Return tally(count, nodes): the count table of the configurations
+    that ``inverse_cdf_sampler(probs, rng)`` would draw, over `nodes`.
+
+    The table's axes follow the order of `nodes`, and node v's axis runs
+    over the extended alphabet k_v + 1; no draw is erased, so state k_v
+    counts none.  The same keys give the same configurations as the
+    sampler's.  Per call, the mixed-radix code of `nodes` is tabulated
+    over each part of the index (about sqrt |X| entries each), so each
+    drawn row costs two lookups and an add, whatever the node count,
+    and one bincount lays the codes out as the table.
+    """
+    index, states, split = _guide_index(probs, rng)
+    states = [table.astype(np.intp) for table in states]
+    sizes = (math.prod(probs.shape[:split]), math.prod(probs.shape[split:]))
+
+    def tally(count: int, nodes: Sequence[int]) -> np.ndarray:
+        radix = tuple(probs.shape[v] + 1 for v in nodes)
+        codes = [np.zeros(size, dtype=np.intp) for size in sizes]
+        stride = 1
+        for v, k in zip(reversed(nodes), reversed(radix)):
+            codes[v >= split] += states[v] * stride
+            stride *= k
+        above, below = index(count)
+        return np.bincount(codes[0][above] + codes[1][below], minlength=stride).reshape(radix)
+
+    return tally
 
 
 def sample_exact(joint: JointTable, m: int, seed: int) -> SampleSet:

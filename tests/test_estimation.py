@@ -31,9 +31,10 @@ from mrflearn import (
     required_samples_full,
     sample_exact,
 )
-from mrflearn.estimation import _count_tables
+from mrflearn.estimation import _count_tables, _extended_block
 from mrflearn.generate import random_raw_model
 from mrflearn.inference import _nu_of_table
+from mrflearn.sampling import inverse_cdf_sampler, spawn_rng
 
 from conftest import ising_tensor
 
@@ -393,12 +394,23 @@ def test_query_oracle_enforces_capacity(ising_pair):
         oracle.query((0, 1), 10)
 
 
+def reference_tally(rows, arities, nodes):
+    """Independent oracle: one row at a time into an extended-alphabet
+    table over `nodes`, axes in their order, an erased cell in state k_v."""
+    table = np.zeros([arities[v] + 1 for v in nodes], dtype=np.int64)
+    for row in rows:
+        table[tuple(arities[v] if x == ERASED else x for v, x in zip(nodes, row))] += 1
+    return table
+
+
 def test_query_batches_are_fresh(ising_pair):
     oracle = QueryOracle.from_joint(exact_joint(ising_pair), capacity=2, seed=0)
     a = oracle.query((0, 1), 500)
     b = oracle.query((0, 1), 500)
     assert oracle.consumed == 1000
     assert oracle.queries_issued == 2
+    assert a.shape == b.shape == (3, 3)
+    assert a.sum() == b.sum() == 500
     assert not np.array_equal(a, b)
 
 
@@ -416,12 +428,25 @@ def test_query_oracle_from_samples_serves_the_next_rows():
     oracle = QueryOracle.from_samples(samples, capacity=3)
     pos = 0
     for nodes, m in [((4, 0), 10), ((2,), 1), ((1, 3, 4), 25), ((0, 2, 3), 24)]:
-        block = oracle.query(nodes, m)
-        np.testing.assert_array_equal(block, samples.data[pos : pos + m, sorted(nodes)])
+        rows = samples.data[pos : pos + m, list(nodes)]
+        want = reference_tally(rows, model.arities, nodes)
+        np.testing.assert_array_equal(oracle.query(nodes, m), want)
         pos += m
     assert (oracle.consumed, oracle.queries_issued, oracle.max_query_size) == (60, 4, 3)
     with pytest.raises(RuntimeError, match="exhausted"):
         oracle.query((0,), 1)
+
+
+def test_query_from_joint_counts_the_sampler_rows():
+    # the oracle's tally counts exactly the rows the sampler draws from
+    # the same stream, over the nodes in the order asked
+    model = canonicalize(random_raw_model(7, 3, 4, seed=5))
+    joint = exact_joint(model)
+    oracle = QueryOracle.from_joint(joint, capacity=5, seed=4)
+    draw = inverse_cdf_sampler(joint.probs, spawn_rng(4, "oracle"))
+    for nodes, m in [((6, 0, 3), 300), ((2,), 50), ((1, 5, 4, 0, 2), 400), ((3, 6), 1)]:
+        want = reference_tally(draw(m, nodes), model.arities, nodes)
+        np.testing.assert_array_equal(oracle.query(nodes, m), want)
 
 
 def test_query_oracle_stream_does_not_depend_on_the_queried_nodes():
@@ -431,10 +456,103 @@ def test_query_oracle_stream_does_not_depend_on_the_queried_nodes():
     b = QueryOracle.from_joint(joint, capacity=4, seed=8)
     for nodes_a, nodes_b in [((0, 1, 2), (1, 2, 5)), ((3,), (3, 4)), ((5, 0, 4, 2), (2, 5))]:
         shared = sorted(set(nodes_a) & set(nodes_b))
-        block_a, block_b = a.query(nodes_a, 500), b.query(nodes_b, 500)
-        cols_a = [sorted(nodes_a).index(v) for v in shared]
-        cols_b = [sorted(nodes_b).index(v) for v in shared]
-        np.testing.assert_array_equal(block_a[:, cols_a], block_b[:, cols_b])
+        table_a, table_b = a.query(nodes_a, 500), b.query(nodes_b, 500)
+
+        def on_shared(table, nodes):
+            summed = table.sum(axis=tuple(j for j, v in enumerate(nodes) if v not in shared))
+            kept = [v for v in nodes if v in shared]
+            return summed.transpose([kept.index(v) for v in shared])
+
+        np.testing.assert_array_equal(on_shared(table_a, nodes_a), on_shared(table_b, nodes_b))
+
+
+def test_query_rejects_bad_nodes_and_batch_sizes():
+    samples = sample_exact(exact_joint(canonicalize(random_raw_model(5, 2, 3, seed=11))), 60, 1)
+    oracle = QueryOracle.from_samples(samples, capacity=3)
+    for nodes, batch, match in [
+        ((-1, 0), 5, "node -1 is not a node"),
+        ((0, 5), 5, "node 5 is not a node"),
+        ((0, 0), 5, "node 0 appears twice in the query"),
+        ((2, 1, 2), 5, "node 2 appears twice in the query"),
+        ((0,), 2.5, "must be an integer"),
+        ((0,), math.inf, "must be an integer"),
+        ((0,), math.nan, "must be an integer"),
+        ((0,), 0, ">= 1"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            oracle.query(nodes, batch)
+    assert (oracle.consumed, oracle.queries_issued, oracle.max_query_size) == (0, 0, 0)
+    assert oracle.query((1, 0), np.int64(5)).sum() == 5
+    assert oracle.query((1, 0), 5.0).sum() == 5
+    assert oracle.consumed == 10 and isinstance(oracle.consumed, int)
+
+
+def test_query_refuses_a_table_past_the_enumeration_cap():
+    # 16 binary nodes: 3^16 extended cells, past 2^24
+    samples = SampleSet(np.zeros((4, 16), dtype=np.int64), (2,) * 16)
+    oracle = QueryOracle.from_samples(samples, capacity=16)
+    with pytest.raises(QueryCapacityError, match="cells"):
+        oracle.query(tuple(range(16)), 2)
+    assert oracle.consumed == 0
+    assert oracle.query(tuple(range(15)), 2).sum() == 2
+
+
+def _row_path_nu_hat_queried(rows, arities, u, group, cond):
+    """The row-based queried estimate: the batch's rows at the sorted
+    nodes, extended, counted by ``_count_tables`` and reduced."""
+    nodes = tuple(sorted((u,) + group + cond))
+    sub_arities = [arities[v] for v in nodes]
+    block = _extended_block(rows, sub_arities)
+    row = nodes.index
+    (table,) = _count_tables(block, sub_arities, row(u), [tuple(map(row, group))],
+                             tuple(map(row, cond)))
+    return _nu_of_table(table)[0]
+
+
+@pytest.mark.parametrize("source", ["joint", "erased"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3])
+def test_nu_hat_queried_matches_the_row_path_exactly(source, k, r):
+    n = 8
+    model = canonicalize(random_raw_model(n, r, k, seed=40 + 10 * k + r))
+    joint = exact_joint(model)
+    rng = np.random.default_rng(k * 10 + r)
+    batches = [30, 500] * 30  # 30 rows: many S spaces outgrow the batch
+    if source == "joint":
+        oracle = QueryOracle.from_joint(joint, capacity=n, seed=k + r)
+        draw = inverse_cdf_sampler(joint.probs, spawn_rng(k + r, "oracle"))
+    else:
+        data = erase(sample_exact(joint, sum(batches), seed=k + r), 0.8, seed=r).data
+        oracle = QueryOracle.from_samples(SampleSet(data, model.arities), capacity=n)
+        stream = iter(np.split(data, np.cumsum(batches)[:-1]))
+
+        def draw(m, nodes):
+            return next(stream)[:, nodes]
+    outgrown = 0
+    for m_batch in batches:
+        u, group, cond = random_triple(rng, n, r, 5)
+        nodes = sorted((u,) + group + cond)
+        want = _row_path_nu_hat_queried(draw(m_batch, nodes), model.arities, u, group, cond)
+        try:
+            got = nu_hat_queried(oracle, u, group, cond, m_batch, model.arities)
+        except InsufficientCoverageError:
+            continue
+        assert got == want
+        outgrown += math.prod(model.arities[v] for v in cond) > m_batch
+    assert outgrown > 0
+
+
+def test_queried_s_configuration_seen_with_i_or_u_erased_is_kept():
+    # prod(k_S) = 243 > 80 rows: an S configuration counts as seen when a
+    # row reveals all of S, even if it erases u or I; keeping only those
+    # seen in complete rows moves this value in its last bit
+    model = canonicalize(random_raw_model(8, 2, 3, seed=98))
+    data = erase(sample_exact(exact_joint(model), 3200, seed=98), 0.7, seed=98).data[640:720]
+    u, group, cond = 2, (7,), (0, 4, 5, 3, 1)
+    oracle = QueryOracle.from_samples(SampleSet(data, model.arities), capacity=8)
+    want = _row_path_nu_hat_queried(data[:, sorted((u,) + group + cond)], model.arities,
+                                    u, group, cond)
+    assert nu_hat_queried(oracle, u, group, cond, 80, model.arities) == want
 
 
 def test_queried_encoding_of_an_erased_stream_matches_the_where_encoding():

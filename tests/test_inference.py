@@ -12,6 +12,7 @@ from mrflearn import (
     EmpiricalDistribution,
     GeneratorSpec,
     MarkovRandomField,
+    QueryOracle,
     canonicalize,
     clique_graph,
     condition_on,
@@ -21,7 +22,10 @@ from mrflearn import (
     exact_nu,
     generate_model,
     marginal,
+    mean_nu_over_probe_sets,
     nu_hat,
+    nu_hat_erased,
+    nu_hat_queried,
     sample_exact,
 )
 from mrflearn.generate import random_raw_model
@@ -176,20 +180,48 @@ def test_nu_ising_pair(ising_pair):
     (0, (1,), (1,)),
     (0, (1, 1), ()),
     (0, (1,), (2, 2)),
+    (-1, (1,), ()),
+    (3, (1,), ()),
+    (0, (-1,), ()),
+    (0, (1,), (-2,)),
+    (0, (1,), (3,)),
 ])
 def test_bad_triples_raise_the_same_error_everywhere(chain3, u, group, cond):
     joint = exact_joint(chain3)
-    emp = EmpiricalDistribution(sample_exact(joint, 200, seed=0))
+    samples = sample_exact(joint, 200, seed=0)
+    emp = EmpiricalDistribution(samples)
+    oracle = QueryOracle.from_samples(samples, capacity=3)
     messages = []
     for call in (
         lambda: exact_nu(joint, u, group, cond),
         lambda: exact_conditional_mi(joint, u, group, cond),
         lambda: nu_hat(emp, u, group, cond),
+        lambda: nu_hat_erased(emp, u, group, cond),
+        lambda: nu_hat_queried(oracle, u, group, cond, 10, chain3.arities),
     ):
         with pytest.raises(ValueError) as info:
             call()
         messages.append(str(info.value))
     assert len(set(messages)) == 1, messages
+    assert oracle.consumed == 0
+
+
+def test_a_bad_node_is_named():
+    # -1 and -2 used to read nodes n-1 and n-2, and 99 to fail inside numpy
+    model = generate_model(GeneratorSpec(n=5, seed=1))
+    joint = exact_joint(model)
+    emp = EmpiricalDistribution(sample_exact(joint, 100, seed=0))
+    for call, message in [
+        (lambda: nu_hat(emp, 0, (-1,)), "node -1 is not a node of the model"),
+        (lambda: nu_hat(emp, 0, (1,), (-2,)), "node -2 is not a node of the model"),
+        (lambda: exact_nu(joint, 4, (0,), (-1,)), "node -1 is not a node of the model"),
+        (lambda: exact_nu(joint, 4, (-1,), ()), "node -1 is not a node of the model"),
+        (lambda: mean_nu_over_probe_sets(joint, 4, (99,)), "node 99 is not a node"),
+        (lambda: nu_hat(emp, 0, (1, 1)), "node 1 appears twice"),
+        (lambda: exact_nu(joint, 2, (0,), (3, 0)), "node 0 appears twice"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def brute_nu(joint, u, group, cond):

@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 import math
 import random
 import re
@@ -361,6 +363,33 @@ def test_queried_mode_recovers_small_model():
     oracle = QueryOracle.from_joint(exact_joint(model), capacity, seed=9)
     result = learn_graph_queried(oracle, model.n, model.arities, config, m_batch=20_000)
     assert result.edges == set(clique_graph(model).edges)
+
+
+# (n, r, max_arity, seed, tau, budget, m_batch); the last two batches are
+# smaller than some conditioning spaces the learner probes
+QUERIED_FROZEN_CASES = [
+    (6, 2, 2, 1, 0.02, 3, 2000),
+    (6, 3, 3, 2, 0.03, 3, 2000),
+    (7, 2, 4, 3, 0.03, 2, 1500),
+    (5, 3, 2, 4, 0.02, 4, 400),
+    (6, 2, 4, 5, 0.05, 3, 20),
+    (6, 3, 4, 6, 0.05, 3, 20),
+]
+# sha256 of the six results' sorted-key JSON, traces and accounting
+# included, recorded on the row-based queried estimator
+QUERIED_FROZEN_SHA256 = "84918f0c64f97cd8090dd6d041bbb032943c8304dcba398e42ca984ae18679ad"
+
+
+def test_queried_output_is_frozen():
+    digest = hashlib.sha256()
+    for n, r, k, seed, tau, budget, m_batch in QUERIED_FROZEN_CASES:
+        model = generate_model(GeneratorSpec(n=n, r=r, max_arity=k, alpha=0.4, seed=seed))
+        config = LearnConfig(r=r, tau=tau, budget=budget)
+        oracle = QueryOracle.from_joint(exact_joint(model), config.query_capacity, seed=seed)
+        result = learn_graph_queried(oracle, n, model.arities, config, m_batch)
+        assert result.accounting["queries_issued"] == result.accounting["evaluations"]
+        digest.update(json.dumps(result.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == QUERIED_FROZEN_SHA256
 
 
 # ---------------------------------------------------------------- set-valued pruning
