@@ -19,9 +19,10 @@ sums the rows' counts with one bincount.  Slicing off the erased state
 of the I and u axes and the dropped label leaves the complete-case
 (u, I..., S) count table.  A bounded query returns no rows: the
 ``QueryOracle`` hands back the batch's count table over the nodes asked,
-axes in the order requested, each over the extended alphabet, and
-``nu_hat_queried`` slices the erased states off the table of
-(S..., I..., u).  ``inference._nu_of_tables`` is the one reducer of
+axes in the order requested, each over the extended alphabet: dense when
+it has at most one cell per sample, else sparse, its occupied cells and
+their counts.  ``nu_hat_queried`` drops the erased states from the table
+of (S..., I..., u).  ``inference._nu_of_tables`` is the one reducer of
 (u, I..., S) tables, exact or counted, one stack per table shape; the
 queried table is laid out as the kernel's tables are, so that both
 reduce in one order.  Conditioning configurations never observed
@@ -36,14 +37,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .inference import (
-    MAX_CONFIGURATIONS,
-    _check_disjoint,
-    _check_nodes,
-    _nu_of_table,
-    _nu_of_tables,
-)
-from .sampling import ERASED, SampleSet, inverse_cdf_tally, spawn_rng
+from .inference import _check_disjoint, _check_nodes, _nu_of_table, _nu_of_tables
+from .sampling import ERASED, SampleSet, _count_table, inverse_cdf_tally, spawn_rng
 
 
 class InsufficientCoverageError(RuntimeError):
@@ -238,10 +233,14 @@ class QueryOracle:
     `source(m, nodes)` returns the count table of the next m samples over
     the listed nodes: its axes follow the order of `nodes`, and node v's
     axis runs over the extended alphabet k_v + 1 of `arities`, state k_v
-    counting the samples that erase v.
+    counting the samples that erase v.  As ``sampling._count_table``
+    gives it, a table of at most m cells is a dense int64 array, and a
+    larger one is sparse, ``(cells, counts)``: its occupied cells as
+    ascending flat C-order indices, and their int64 counts.  Either form
+    stays within the size of the batch.
     """
 
-    source: Callable[[int, list[int]], np.ndarray]
+    source: Callable[[int, list[int]], np.ndarray | tuple[np.ndarray, np.ndarray]]
     arities: tuple[int, ...]
     capacity: int
     consumed: int = 0
@@ -261,7 +260,7 @@ class QueryOracle:
         cursor = {"pos": 0}
         data, arities = samples.data, samples.arities
 
-        def tally(m: int, nodes: list[int]) -> np.ndarray:
+        def tally(m: int, nodes: list[int]) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
             if cursor["pos"] + m > data.shape[0]:
                 raise RuntimeError("sample stream exhausted")
             sub_arities = [arities[v] for v in nodes]
@@ -270,26 +269,24 @@ class QueryOracle:
             code = np.zeros(m, dtype=np.intp)
             for row, k in zip(block, sub_arities):
                 code = code * (k + 1) + row
-            radix = tuple(k + 1 for k in sub_arities)
-            return np.bincount(code, minlength=math.prod(radix)).reshape(radix)
+            return _count_table(code, tuple(k + 1 for k in sub_arities))
 
         return cls(source=tally, arities=arities, capacity=capacity)
 
-    def query(self, nodes: tuple[int, ...], m_batch: int) -> np.ndarray:
+    def query(
+        self, nodes: tuple[int, ...], m_batch: int
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """The count table of m_batch fresh samples over `nodes`, axes in
-        the order given (see the class docstring)."""
+        the order given: dense up to m_batch cells, else sparse (see the
+        class docstring)."""
         nodes = tuple(int(v) for v in nodes)
         _check_nodes(nodes, len(self.arities), "the query")
         if len(nodes) > self.capacity:
             raise QueryCapacityError(
                 f"query of size {len(nodes)} exceeds capacity {self.capacity}"
             )
-        cells = math.prod(self.arities[v] + 1 for v in nodes)
-        if cells > MAX_CONFIGURATIONS:
-            raise QueryCapacityError(
-                f"the count table of nodes {nodes} has {cells} cells, past the cap of "
-                f"{MAX_CONFIGURATIONS}"
-            )
+        if math.prod(self.arities[v] + 1 for v in nodes) > 1 << 62:
+            raise ValueError(f"the count table of nodes {nodes} is too large to code in 64 bits")
         if not float(m_batch).is_integer():
             raise ValueError(f"batch size must be an integer, got {m_batch!r}")
         m_batch = int(m_batch)
@@ -302,31 +299,93 @@ class QueryOracle:
         return table
 
 
+#: most entries in one lookup table of ``_plain_codes``
+_RUN_CELLS = 4096
+
+
+def _plain_codes(code: np.ndarray, arities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Recode mixed-radix codes over the extended alphabets of `arities`
+    (k_v + 1 states, the last node least significant) over the plain
+    alphabets: ``(plain, revealed)``, where `revealed` marks the codes
+    that erase no node and `plain` is meaningless elsewhere.
+
+    The nodes are decoded a run at a time, from the last, through a
+    lookup table of the run's extended codes (at most ``_RUN_CELLS``
+    entries), so a run costs one division per code, not one per node.
+    """
+    plain = np.zeros_like(code)
+    revealed = np.ones(code.shape, dtype=bool)
+    stride, end = 1, len(arities)
+    while end > 0:
+        start = end - 1
+        while start > 0 and math.prod(k + 1 for k in arities[start - 1 : end]) <= _RUN_CELLS:
+            start -= 1
+        run = arities[start:end]
+        states = np.indices(tuple(k + 1 for k in run)).reshape(len(run), -1)
+        table = np.ravel_multi_index(states, run, mode="clip")
+        table[(states == np.array(run)[:, None]).any(axis=0)] = -1
+        code, part = np.divmod(code, table.size)
+        part = table[part]
+        revealed &= part >= 0
+        plain += part * stride
+        stride *= math.prod(run)
+        end = start
+    return plain, revealed
+
+
+def _complete_cells(
+    cells: np.ndarray, counts: np.ndarray, arities: tuple[int, ...], n_cond: int, m_batch: int
+) -> np.ndarray:
+    """The complete-case (S, I..., u) table of a sparse (S..., I..., u)
+    count table whose first `n_cond` axes are S, in C order.
+
+    Each occupied cell splits into its S part and its (I, u) part, each
+    recoded over the plain alphabets; a cell erasing a node of (I, u) is
+    dropped, and one erasing a node of S is also left out of the S
+    configurations seen.  When S has more configurations than the batch
+    has rows, only the seen ones, ascending, label the first axis, as
+    ``_count_tables`` does.
+    """
+    k_s, k_iu = arities[:n_cond], arities[n_cond:]
+    s, iu = np.divmod(cells, math.prod(k + 1 for k in k_iu))
+    s, s_revealed = _plain_codes(s, k_s)
+    iu, iu_revealed = _plain_codes(iu, k_iu)
+    n_s = math.prod(k_s)
+    if n_s > m_batch:
+        # the cells ascend, so the S codes of those revealing all of S do
+        seen = s[s_revealed]
+        seen = seen[np.diff(seen, prepend=-1) != 0]
+        n_s, s = seen.size, np.searchsorted(seen, s)
+    complete = s_revealed & iu_revealed
+    table = np.zeros((n_s, math.prod(k_iu)), dtype=np.int64)
+    table[s[complete], iu[complete]] = counts[complete]
+    return table.reshape((n_s,) + k_iu)
+
+
 def nu_hat_queried(
     oracle: QueryOracle,
     u: int,
     group: tuple[int, ...],
     cond: tuple[int, ...],
     m_batch: int,
-    arities: tuple[int, ...],
 ) -> float:
     """nu-hat over one fresh batch obtained through a bounded query.
 
-    The query's (S..., I..., u) count table, its erased states sliced
-    off and S flattened, is laid out as ``_count_tables`` leaves its
-    tables: (u, I..., S) axes over (S, I..., u) memory, and, when S has
-    more configurations than the batch has rows, only the S
-    configurations seen in a row that reveals all of S.
+    The query's (S..., I..., u) count table, its erased states dropped
+    and S flattened, is laid out as ``_count_tables`` leaves its tables:
+    (u, I..., S) axes over (S, I..., u) memory.  A dense table has at
+    most m_batch cells, so S never outgrows the batch there; a sparse
+    one goes through ``_complete_cells``.
     """
-    group, cond = _check_disjoint(u, group, cond, len(arities))
-    table = oracle.query(cond + group + (u,), m_batch)
-    k_s = tuple(arities[v] for v in cond)
-    n_s = math.prod(k_s)
-    complete = table[tuple(slice(arities[v]) for v in cond + group + (u,))]
-    complete = complete.reshape((n_s,) + complete.shape[len(cond) :])
-    if n_s > m_batch:
-        seen = table[tuple(map(slice, k_s))].reshape((n_s, -1)).any(axis=1)
-        complete = complete[seen]
+    group, cond = _check_disjoint(u, group, cond, len(oracle.arities))
+    nodes = cond + group + (u,)
+    arities = tuple(oracle.arities[v] for v in nodes)
+    table = oracle.query(nodes, m_batch)
+    if isinstance(table, tuple):
+        complete = _complete_cells(*table, arities, len(cond), m_batch)
+    else:
+        complete = table[tuple(map(slice, arities))]
+        complete = complete.reshape((-1,) + arities[len(cond) :])
     value, usable = _nu_of_table(complete.swapaxes(0, -1))
     if usable == 0:
         raise InsufficientCoverageError("no complete samples for this node set")

@@ -183,13 +183,11 @@ class NuEstimator:
         )
 
     @classmethod
-    def queried(
-        cls, oracle: QueryOracle, arities: tuple[int, ...], m_batch: int
-    ) -> "NuEstimator":
+    def queried(cls, oracle: QueryOracle, m_batch: int) -> "NuEstimator":
         """Bounded queries; one fresh batch per evaluation, as the query
         accounting counts them."""
         return cls(lambda u, groups, cond: [
-            (nu_hat_queried(oracle, u, group, cond, m_batch, arities), m_batch)
+            (nu_hat_queried(oracle, u, group, cond, m_batch), m_batch)
             for group in groups
         ])
 
@@ -330,16 +328,21 @@ def learn_graph_queried(
 ) -> GraphResult:
     """Learn through bounded queries, one fresh batch per nu-hat.
 
-    The oracle capacity must cover a conditioning set at the budget plus
-    one full probe set; total consumption is checked against the
-    m_batch * (floor(L) + 1) * r * n^r query budget, floor(L) + 1 being
-    the growth rounds the learner can run.
+    `n_nodes` and `arities` must be the oracle's, whose arities the
+    estimates read.  The oracle capacity must cover a conditioning set
+    at the budget plus one full probe set; total consumption is checked
+    against the m_batch * (floor(L) + 1) * r * n^r query budget,
+    floor(L) + 1 being the growth rounds the learner can run.
     """
     if oracle.capacity < config.query_capacity:
         raise QueryCapacityError(
             f"oracle capacity {oracle.capacity} is below the required {config.query_capacity}"
         )
-    estimator = NuEstimator.queried(oracle, arities, m_batch)
+    if n_nodes != len(oracle.arities) or tuple(arities) != oracle.arities:
+        raise ValueError(
+            f"{n_nodes} nodes of arities {tuple(arities)} are not the oracle's {oracle.arities}"
+        )
+    estimator = NuEstimator.queried(oracle, m_batch)
     result = learn_graph(estimator, n_nodes, config)
     query_budget = m_batch * (math.floor(config.budget) + 1) * config.r * n_nodes**config.r
     if oracle.consumed > query_budget:

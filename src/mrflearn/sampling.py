@@ -10,9 +10,10 @@ Chen & Asau, 1974) finds each configuration index.  From that index,
 ``inverse_cdf_sampler`` decodes rows through two small state tables, one
 per half of the mixed-radix index, and ``inverse_cdf_tally`` counts a
 batch without making rows: two small code tables, one per half, give
-each draw's code over the requested nodes, and one bincount returns
-their count table over the extended alphabet (k_v + 1 states per node,
-the last for an erased cell), axes in the order requested.
+each draw's code over the requested nodes, and ``_count_table`` turns
+the codes into their count table over the extended alphabet (k_v + 1
+states per node, the last for an erased cell), axes in the order
+requested: dense when it has at most one cell per draw, else sparse.
 """
 
 from __future__ import annotations
@@ -168,25 +169,44 @@ def inverse_cdf_sampler(
     return draw
 
 
+def _count_table(
+    codes: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The count table of one code per sample, each a flat C-order index
+    into a table of `shape`.
+
+    A table of at most as many cells as there are samples comes back
+    dense, an int64 array of `shape` from one bincount.  A larger one
+    comes back sparse, as ``(cells, counts)``: the occupied cells,
+    ascending, from ``np.unique``, and the int64 count of each.  So the
+    work and the memory stay within the sample count, however many cells
+    the table has.
+    """
+    if math.prod(shape) <= codes.size:
+        return np.bincount(codes, minlength=math.prod(shape)).reshape(shape)
+    cells, counts = np.unique(codes, return_counts=True)
+    return cells, counts.astype(np.int64, copy=False)
+
+
 def inverse_cdf_tally(
     probs: np.ndarray, rng: np.random.Generator
-) -> Callable[[int, Sequence[int]], np.ndarray]:
-    """Return tally(count, nodes): the count table of the configurations
-    that ``inverse_cdf_sampler(probs, rng)`` would draw, over `nodes`.
+) -> Callable[[int, Sequence[int]], np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """Return tally(count, nodes): the count table (``_count_table``) of
+    the configurations that ``inverse_cdf_sampler(probs, rng)`` would
+    draw, over `nodes`.
 
-    The table's axes follow the order of `nodes`, and node v's axis runs
-    over the extended alphabet k_v + 1; no draw is erased, so state k_v
-    counts none.  The same keys give the same configurations as the
-    sampler's.  Per call, the mixed-radix code of `nodes` is tabulated
-    over each part of the index (about sqrt |X| entries each), so each
-    drawn row costs two lookups and an add, whatever the node count,
-    and one bincount lays the codes out as the table.
+    The table's axes follow the order of `nodes`, node v's axis over the
+    extended alphabet k_v + 1; no draw is erased, so state k_v counts
+    none.  The same keys give the same configurations as the sampler's.
+    Per call, the mixed-radix code of `nodes` is tabulated over each part
+    of the index (about sqrt |X| entries each), so each drawn row costs
+    two lookups and an add, whatever the node count.
     """
     index, states, split = _guide_index(probs, rng)
     states = [table.astype(np.intp) for table in states]
     sizes = (math.prod(probs.shape[:split]), math.prod(probs.shape[split:]))
 
-    def tally(count: int, nodes: Sequence[int]) -> np.ndarray:
+    def tally(count: int, nodes: Sequence[int]) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         radix = tuple(probs.shape[v] + 1 for v in nodes)
         codes = [np.zeros(size, dtype=np.intp) for size in sizes]
         stride = 1
@@ -194,7 +214,7 @@ def inverse_cdf_tally(
             codes[v >= split] += states[v] * stride
             stride *= k
         above, below = index(count)
-        return np.bincount(codes[0][above] + codes[1][below], minlength=stride).reshape(radix)
+        return _count_table(codes[0][above] + codes[1][below], radix)
 
     return tally
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_count_table_matches_block_loop_reference(k, r):
         want, _ = reference_complete_case(samples.data, model.arities, u, group, cond)
         assert abs(nu_hat(emp, u, group, cond) - want) <= 1e-12
         oracle = QueryOracle.from_samples(samples, capacity=n)
-        got = nu_hat_queried(oracle, u, group, cond, samples.m, model.arities)
+        got = nu_hat_queried(oracle, u, group, cond, samples.m)
         assert abs(got - want) <= 1e-12
         want, usable = reference_complete_case(erased.data, model.arities, u, group, cond)
         got, got_usable = nu_hat_erased(emp_erased, u, group, cond)
@@ -403,13 +404,27 @@ def reference_tally(rows, arities, nodes):
     return table
 
 
+def dense(table, shape, m):
+    """A query's count table as a dense array of `shape`, after checking
+    its form: dense up to m cells, else ascending occupied cells and
+    their positive counts."""
+    if math.prod(shape) <= m:
+        assert isinstance(table, np.ndarray) and table.shape == shape
+        assert table.dtype == np.int64
+        return table
+    cells, counts = table
+    assert np.all(np.diff(cells) > 0) and np.all(counts > 0) and counts.dtype == np.int64
+    out = np.zeros(math.prod(shape), dtype=np.int64)
+    out[cells] = counts
+    return out.reshape(shape)
+
+
 def test_query_batches_are_fresh(ising_pair):
     oracle = QueryOracle.from_joint(exact_joint(ising_pair), capacity=2, seed=0)
-    a = oracle.query((0, 1), 500)
-    b = oracle.query((0, 1), 500)
+    a = dense(oracle.query((0, 1), 500), (3, 3), 500)
+    b = dense(oracle.query((0, 1), 500), (3, 3), 500)
     assert oracle.consumed == 1000
     assert oracle.queries_issued == 2
-    assert a.shape == b.shape == (3, 3)
     assert a.sum() == b.sum() == 500
     assert not np.array_equal(a, b)
 
@@ -430,7 +445,7 @@ def test_query_oracle_from_samples_serves_the_next_rows():
     for nodes, m in [((4, 0), 10), ((2,), 1), ((1, 3, 4), 25), ((0, 2, 3), 24)]:
         rows = samples.data[pos : pos + m, list(nodes)]
         want = reference_tally(rows, model.arities, nodes)
-        np.testing.assert_array_equal(oracle.query(nodes, m), want)
+        np.testing.assert_array_equal(dense(oracle.query(nodes, m), want.shape, m), want)
         pos += m
     assert (oracle.consumed, oracle.queries_issued, oracle.max_query_size) == (60, 4, 3)
     with pytest.raises(RuntimeError, match="exhausted"):
@@ -446,7 +461,7 @@ def test_query_from_joint_counts_the_sampler_rows():
     draw = inverse_cdf_sampler(joint.probs, spawn_rng(4, "oracle"))
     for nodes, m in [((6, 0, 3), 300), ((2,), 50), ((1, 5, 4, 0, 2), 400), ((3, 6), 1)]:
         want = reference_tally(draw(m, nodes), model.arities, nodes)
-        np.testing.assert_array_equal(oracle.query(nodes, m), want)
+        np.testing.assert_array_equal(dense(oracle.query(nodes, m), want.shape, m), want)
 
 
 def test_query_oracle_stream_does_not_depend_on_the_queried_nodes():
@@ -456,7 +471,8 @@ def test_query_oracle_stream_does_not_depend_on_the_queried_nodes():
     b = QueryOracle.from_joint(joint, capacity=4, seed=8)
     for nodes_a, nodes_b in [((0, 1, 2), (1, 2, 5)), ((3,), (3, 4)), ((5, 0, 4, 2), (2, 5))]:
         shared = sorted(set(nodes_a) & set(nodes_b))
-        table_a, table_b = a.query(nodes_a, 500), b.query(nodes_b, 500)
+        table_a = dense(a.query(nodes_a, 500), tuple(model.arities[v] + 1 for v in nodes_a), 500)
+        table_b = dense(b.query(nodes_b, 500), tuple(model.arities[v] + 1 for v in nodes_b), 500)
 
         def on_shared(table, nodes):
             summed = table.sum(axis=tuple(j for j, v in enumerate(nodes) if v not in shared))
@@ -482,19 +498,38 @@ def test_query_rejects_bad_nodes_and_batch_sizes():
         with pytest.raises(ValueError, match=match):
             oracle.query(nodes, batch)
     assert (oracle.consumed, oracle.queries_issued, oracle.max_query_size) == (0, 0, 0)
-    assert oracle.query((1, 0), np.int64(5)).sum() == 5
-    assert oracle.query((1, 0), 5.0).sum() == 5
+    assert oracle.query((1, 0), np.int64(5))[1].sum() == 5
+    assert oracle.query((1, 0), 5.0)[1].sum() == 5
     assert oracle.consumed == 10 and isinstance(oracle.consumed, int)
 
 
-def test_query_refuses_a_table_past_the_enumeration_cap():
-    # 16 binary nodes: 3^16 extended cells, past 2^24
-    samples = SampleSet(np.zeros((4, 16), dtype=np.int64), (2,) * 16)
-    oracle = QueryOracle.from_samples(samples, capacity=16)
-    with pytest.raises(QueryCapacityError, match="cells"):
-        oracle.query(tuple(range(16)), 2)
+def test_query_table_stays_within_the_batch():
+    # 16 binary nodes: 3^16 extended cells, served sparse from 50 rows;
+    # a dense table would take 344 MB
+    model = canonicalize(random_raw_model(16, 2, 2, seed=16))
+    joint = exact_joint(model)
+    oracle = QueryOracle.from_joint(joint, capacity=16, seed=2)
+    draw = inverse_cdf_sampler(joint.probs, spawn_rng(2, "oracle"))
+    nodes = tuple(np.random.default_rng(16).permutation(16).tolist())
+    tracemalloc.start()
+    table = oracle.query(nodes, 50)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    want = reference_tally(draw(50, nodes), model.arities, nodes)
+    cells, counts = table
+    np.testing.assert_array_equal(cells, np.flatnonzero(want))
+    np.testing.assert_array_equal(counts, want.ravel()[cells])
+
+
+def test_query_refuses_a_table_too_large_to_code():
+    # 40 binary nodes: 3^40 extended cells, past a 64-bit code
+    samples = SampleSet(np.zeros((4, 40), dtype=np.int64), (2,) * 40)
+    oracle = QueryOracle.from_samples(samples, capacity=40)
+    with pytest.raises(ValueError, match="64 bits"):
+        oracle.query(tuple(range(40)), 2)
     assert oracle.consumed == 0
-    assert oracle.query(tuple(range(15)), 2).sum() == 2
+    assert oracle.query(tuple(range(39)), 2)[1].tolist() == [2]
 
 
 def _row_path_nu_hat_queried(rows, arities, u, group, cond):
@@ -534,12 +569,50 @@ def test_nu_hat_queried_matches_the_row_path_exactly(source, k, r):
         nodes = sorted((u,) + group + cond)
         want = _row_path_nu_hat_queried(draw(m_batch, nodes), model.arities, u, group, cond)
         try:
-            got = nu_hat_queried(oracle, u, group, cond, m_batch, model.arities)
+            got = nu_hat_queried(oracle, u, group, cond, m_batch)
         except InsufficientCoverageError:
             continue
         assert got == want
         outgrown += math.prod(model.arities[v] for v in cond) > m_batch
     assert outgrown > 0
+
+
+@pytest.mark.parametrize("source", ["joint", "erased"])
+def test_nu_hat_queried_matches_the_row_path_on_large_tables(source):
+    # tables far past the batch, most past 2^24 cells: 16 binary nodes
+    # with |S| up to 14 from the exact sampler, and up to 8 nodes of 8
+    # states from an erased stream (|S| = 4 at 5000 rows: S fits the batch)
+    rng = np.random.default_rng(7)
+    if source == "joint":
+        model = canonicalize(random_raw_model(16, 2, 2, seed=61))
+        arities, joint = model.arities, exact_joint(model)
+        oracle = QueryOracle.from_joint(joint, capacity=16, seed=6)
+        draw = inverse_cdf_sampler(joint.probs, spawn_rng(6, "oracle"))
+        triples = []
+        for size_s in (14, 14, 13, 12, 14, 10, 8, 6, 3, 0, 14, 11):
+            nodes = rng.permutation(16).tolist()
+            triples.append((nodes[0], (nodes[1],), tuple(nodes[2 : 2 + size_s])))
+        batches = [200, 5000] * 6
+    else:
+        arities = (8,) * 8
+        triples = [(0, (1,), (2, 3, 4, 5, 6, 7)), (7, (6, 5), (4, 3, 2, 1, 0)),
+                   (3, (1,), (0, 5, 6, 7)), (2, (4,), (7, 6, 5, 0)),
+                   (1, (0, 2), (3, 4, 5, 6, 7))]
+        batches = [2000, 5000, 2000, 5000, 5000]
+        data = rng.integers(0, 8, (sum(batches), 8))
+        data = erase(SampleSet(data, arities), 0.9, seed=8).data
+        oracle = QueryOracle.from_samples(SampleSet(data, arities), capacity=8)
+        stream = iter(np.split(data, np.cumsum(batches)[:-1]))
+
+        def draw(m, nodes):
+            return next(stream)[:, nodes]
+    past_cap = 0
+    for (u, group, cond), m_batch in zip(triples, batches):
+        nodes = sorted((u,) + group + cond)
+        want = _row_path_nu_hat_queried(draw(m_batch, nodes), arities, u, group, cond)
+        assert nu_hat_queried(oracle, u, group, cond, m_batch) == want
+        past_cap += math.prod(arities[v] + 1 for v in nodes) > 1 << 24
+    assert past_cap >= 3
 
 
 def test_queried_s_configuration_seen_with_i_or_u_erased_is_kept():
@@ -552,7 +625,7 @@ def test_queried_s_configuration_seen_with_i_or_u_erased_is_kept():
     oracle = QueryOracle.from_samples(SampleSet(data, model.arities), capacity=8)
     want = _row_path_nu_hat_queried(data[:, sorted((u,) + group + cond)], model.arities,
                                     u, group, cond)
-    assert nu_hat_queried(oracle, u, group, cond, 80, model.arities) == want
+    assert nu_hat_queried(oracle, u, group, cond, 80) == want
 
 
 def test_queried_encoding_of_an_erased_stream_matches_the_where_encoding():
@@ -564,7 +637,7 @@ def test_queried_encoding_of_an_erased_stream_matches_the_where_encoding():
     pos, m_batch = 0, 300
     for _ in range(20):
         u, group, cond = random_triple(rng, n, r, 3)
-        got = nu_hat_queried(oracle, u, group, cond, m_batch, model.arities)
+        got = nu_hat_queried(oracle, u, group, cond, m_batch)
         # the encoding queried mode had: np.where over the batch at full
         # arities, its rows addressed by node through a position map
         nodes = sorted((u,) + group + cond)
@@ -585,7 +658,7 @@ def test_queried_encoding_of_an_erased_stream_matches_the_where_encoding():
 
 def test_nu_hat_queried_independent_pair(isolated_pair):
     oracle = QueryOracle.from_joint(exact_joint(isolated_pair), capacity=2, seed=0)
-    value = nu_hat_queried(oracle, 0, (1,), (), 10_000, isolated_pair.arities)
+    value = nu_hat_queried(oracle, 0, (1,), (), 10_000)
     assert value < 0.02
     assert oracle.consumed == 10_000
 

@@ -197,7 +197,7 @@ def test_bad_triples_raise_the_same_error_everywhere(chain3, u, group, cond):
         lambda: exact_conditional_mi(joint, u, group, cond),
         lambda: nu_hat(emp, u, group, cond),
         lambda: nu_hat_erased(emp, u, group, cond),
-        lambda: nu_hat_queried(oracle, u, group, cond, 10, chain3.arities),
+        lambda: nu_hat_queried(oracle, u, group, cond, 10),
     ):
         with pytest.raises(ValueError) as info:
             call()

@@ -354,6 +354,15 @@ def test_queried_mode_rejects_small_capacity(ising_pair):
         learn_graph_queried(oracle, 2, ising_pair.arities, config, m_batch=100)
 
 
+def test_queried_mode_rejects_a_model_other_than_the_oracles(ising_pair):
+    config = exact_config(ising_pair, alpha=0.5, tau=0.05, budget=0)
+    oracle = QueryOracle.from_joint(exact_joint(ising_pair), config.query_capacity, seed=5)
+    for n_nodes, arities in [(2, (2, 3)), (2, (3, 2)), (1, (2,)), (3, (2, 2, 2))]:
+        with pytest.raises(ValueError, match="not the oracle's"):
+            learn_graph_queried(oracle, n_nodes, arities, config, m_batch=100)
+    assert oracle.consumed == 0
+
+
 def test_queried_mode_recovers_small_model():
     model = generate_model(
         GeneratorSpec(n=5, r=2, max_degree=2, max_arity=2, alpha=0.4, seed=12)
