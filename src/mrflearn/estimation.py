@@ -21,8 +21,11 @@ of the I and u axes and the dropped label leaves the complete-case
 ``QueryOracle`` hands back the batch's count table over the nodes asked,
 axes in the order requested, each over the extended alphabet: dense when
 it has at most one cell per sample, else sparse, its occupied cells and
-their counts.  ``nu_hat_queried`` drops the erased states from the table
-of (S..., I..., u).  ``inference._nu_of_tables`` is the one reducer of
+their counts.  ``nu_hat_queried`` drops the erased states from a dense
+table of (S..., I..., u); a sparse one it expands back into the batch's
+rows, one column per node, and counts them with ``_count_tables``, so
+one kernel makes every complete-case count table that could outgrow its
+batch.  ``inference._nu_of_tables`` is the one reducer of
 (u, I..., S) tables, exact or counted, one stack per table shape; the
 queried table is laid out as the kernel's tables are, so that both
 reduce in one order.  Conditioning configurations never observed
@@ -131,9 +134,11 @@ def _count_tables(
     """Complete-case counts of (X_u, X_I, X_S), one table with axes
     (u, I..., S) per probe set I in `groups`, all against one (u, S).
 
-    Column j of `block` is one row of extended states (k_v marks an erased
-    cell) and stands for ``weights[j]`` samples, or for one without
-    `weights`; the tables hold the summed weights, in the weights' dtype.
+    `block` is any sequence of per-node columns indexed by node (a 2-D
+    array or a tuple of 1-D arrays): entry j of every column together is
+    one row of extended states (k_v marks an erased cell), and stands for
+    ``weights[j]`` samples, or for one without `weights`; the tables hold
+    the summed weights, in the weights' dtype.
     The S label of a row is the mixed-radix code of its conditioning
     states or, when S has more configurations than the block has rows, the
     index of that code among the distinct ones, so a table never exceeds
@@ -299,69 +304,6 @@ class QueryOracle:
         return table
 
 
-#: most entries in one lookup table of ``_plain_codes``
-_RUN_CELLS = 4096
-
-
-def _plain_codes(code: np.ndarray, arities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Recode mixed-radix codes over the extended alphabets of `arities`
-    (k_v + 1 states, the last node least significant) over the plain
-    alphabets: ``(plain, revealed)``, where `revealed` marks the codes
-    that erase no node and `plain` is meaningless elsewhere.
-
-    The nodes are decoded a run at a time, from the last, through a
-    lookup table of the run's extended codes (at most ``_RUN_CELLS``
-    entries), so a run costs one division per code, not one per node.
-    """
-    plain = np.zeros_like(code)
-    revealed = np.ones(code.shape, dtype=bool)
-    stride, end = 1, len(arities)
-    while end > 0:
-        start = end - 1
-        while start > 0 and math.prod(k + 1 for k in arities[start - 1 : end]) <= _RUN_CELLS:
-            start -= 1
-        run = arities[start:end]
-        states = np.indices(tuple(k + 1 for k in run)).reshape(len(run), -1)
-        table = np.ravel_multi_index(states, run, mode="clip")
-        table[(states == np.array(run)[:, None]).any(axis=0)] = -1
-        code, part = np.divmod(code, table.size)
-        part = table[part]
-        revealed &= part >= 0
-        plain += part * stride
-        stride *= math.prod(run)
-        end = start
-    return plain, revealed
-
-
-def _complete_cells(
-    cells: np.ndarray, counts: np.ndarray, arities: tuple[int, ...], n_cond: int, m_batch: int
-) -> np.ndarray:
-    """The complete-case (S, I..., u) table of a sparse (S..., I..., u)
-    count table whose first `n_cond` axes are S, in C order.
-
-    Each occupied cell splits into its S part and its (I, u) part, each
-    recoded over the plain alphabets; a cell erasing a node of (I, u) is
-    dropped, and one erasing a node of S is also left out of the S
-    configurations seen.  When S has more configurations than the batch
-    has rows, only the seen ones, ascending, label the first axis, as
-    ``_count_tables`` does.
-    """
-    k_s, k_iu = arities[:n_cond], arities[n_cond:]
-    s, iu = np.divmod(cells, math.prod(k + 1 for k in k_iu))
-    s, s_revealed = _plain_codes(s, k_s)
-    iu, iu_revealed = _plain_codes(iu, k_iu)
-    n_s = math.prod(k_s)
-    if n_s > m_batch:
-        # the cells ascend, so the S codes of those revealing all of S do
-        seen = s[s_revealed]
-        seen = seen[np.diff(seen, prepend=-1) != 0]
-        n_s, s = seen.size, np.searchsorted(seen, s)
-    complete = s_revealed & iu_revealed
-    table = np.zeros((n_s, math.prod(k_iu)), dtype=np.int64)
-    table[s[complete], iu[complete]] = counts[complete]
-    return table.reshape((n_s,) + k_iu)
-
-
 def nu_hat_queried(
     oracle: QueryOracle,
     u: int,
@@ -375,18 +317,24 @@ def nu_hat_queried(
     and S flattened, is laid out as ``_count_tables`` leaves its tables:
     (u, I..., S) axes over (S, I..., u) memory.  A dense table has at
     most m_batch cells, so S never outgrows the batch there; a sparse
-    one goes through ``_complete_cells``.
+    one is expanded back into the batch's rows, one extended column per
+    node, and counted by ``_count_tables``.
     """
     group, cond = _check_disjoint(u, group, cond, len(oracle.arities))
     nodes = cond + group + (u,)
     arities = tuple(oracle.arities[v] for v in nodes)
     table = oracle.query(nodes, m_batch)
     if isinstance(table, tuple):
-        complete = _complete_cells(*table, arities, len(cond), m_batch)
+        cells, counts = table
+        # one column per sample, not per occupied cell with its count as
+        # weight: S is compressed against the batch, as on the row path
+        block = np.unravel_index(np.repeat(cells, counts), tuple(k + 1 for k in arities))
+        at = tuple(range(len(nodes)))
+        (complete,) = _count_tables(block, arities, at[-1], [at[len(cond) : -1]], at[: len(cond)])
     else:
         complete = table[tuple(map(slice, arities))]
-        complete = complete.reshape((-1,) + arities[len(cond) :])
-    value, usable = _nu_of_table(complete.swapaxes(0, -1))
+        complete = complete.reshape((-1,) + arities[len(cond) :]).swapaxes(0, -1)
+    value, usable = _nu_of_table(complete)
     if usable == 0:
         raise InsufficientCoverageError("no complete samples for this node set")
     return value

@@ -67,8 +67,7 @@ def exact_joint(model: MarkovRandomField) -> JointTable:
 
 def marginal(joint: JointTable, nodes: tuple[int, ...]) -> np.ndarray:
     """Marginal table over the given nodes, axes in the order requested."""
-    if len(set(nodes)) != len(nodes):
-        raise ValueError(f"duplicate nodes in {nodes}")
+    _check_nodes(nodes, joint.model.n, "the marginal")
     others = tuple(v for v in range(joint.model.n) if v not in nodes)
     summed = joint.probs.sum(axis=others) if others else joint.probs
     order = sorted(nodes)

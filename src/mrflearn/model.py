@@ -358,7 +358,12 @@ def condition_on(
     preimages; the result is re-canonicalized so derived constants stay
     meaningful.  Conditioning never increases gamma.
     """
-    frozen = {int(v): int(s) for v, s in zip(nodes, states)}
+    nodes, states = [int(v) for v in nodes], [int(s) for s in states]
+    if len(nodes) != len(states):
+        raise ValueError(f"{len(nodes)} nodes to condition on but {len(states)} states")
+    frozen = dict(zip(nodes, states))
+    if len(frozen) != len(nodes):
+        raise ValueError(f"a node appears twice in {nodes}")
     for v, s in frozen.items():
         if not 0 <= v < model.n:
             raise ValueError(f"node {v} out of range")

@@ -615,6 +615,24 @@ def test_nu_hat_queried_matches_the_row_path_on_large_tables(source):
     assert past_cap >= 3
 
 
+def test_sparse_query_read_stays_within_the_batch():
+    # 16 binary nodes, |S| = 14: the query comes back sparse, and reading
+    # it holds the batch's rows, not the 3^16 cells (344 MB) of a dense table
+    model = canonicalize(random_raw_model(16, 2, 2, seed=16))
+    joint = exact_joint(model)
+    oracle = QueryOracle.from_joint(joint, capacity=16, seed=3)
+    draw = inverse_cdf_sampler(joint.probs, spawn_rng(3, "oracle"))
+    nodes = np.random.default_rng(16).permutation(16).tolist()
+    u, group, cond = nodes[0], (nodes[1],), tuple(nodes[2:])
+    tracemalloc.start()
+    got = nu_hat_queried(oracle, u, group, cond, 10_000)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 << 20
+    assert got == _row_path_nu_hat_queried(draw(10_000, sorted(nodes)), model.arities,
+                                           u, group, cond)
+
+
 def test_queried_s_configuration_seen_with_i_or_u_erased_is_kept():
     # prod(k_S) = 243 > 80 rows: an S configuration counts as seen when a
     # row reveals all of S, even if it erases u or I; keeping only those

@@ -224,6 +224,20 @@ def test_a_bad_node_is_named():
             call()
 
 
+def test_marginal_names_a_bad_node():
+    # a node out of range is named, not left to numpy's "axes don't match array"
+    joint = exact_joint(generate_model(GeneratorSpec(n=5, seed=1)))
+    for nodes, message in [
+        ((99,), "node 99 is not a node of the model"),
+        ((-1,), "node -1 is not a node of the model"),
+        ((1, 5), "node 5 is not a node of the model"),
+        ((2, 0, 2), "node 2 appears twice in the marginal"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            marginal(joint, nodes)
+    assert marginal(joint, (3, 1)).shape == (joint.model.arities[3], joint.model.arities[1])
+
+
 def brute_nu(joint, u, group, cond):
     """Independent oracle: explicit loops over every configuration split."""
     model = joint.model

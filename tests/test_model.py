@@ -352,6 +352,20 @@ def test_condition_on_composes():
     )
 
 
+def test_condition_on_rejects_mismatched_or_repeated_nodes():
+    # neither list is truncated to the other, and no node is frozen twice
+    model = canonicalize(random_raw_model(n=5, r=3, max_arity=2, seed=21))
+    for nodes, states, message in [
+        ([0, 1], [0], "2 nodes to condition on but 1 states"),
+        ([0], [0, 1], "1 nodes to condition on but 2 states"),
+        ([0, 0], [0, 1], "a node appears twice"),
+        ([3, 1, 3], [0, 0, 0], "a node appears twice"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            condition_on(model, nodes, states)
+    assert condition_on(model, iter([1, 0]), (0, 1)).n == 3
+
+
 # ---------------------------------------------------------------- effective tensors
 
 
