@@ -18,8 +18,9 @@ detection-floor formulas live here.  One simulator plays the rounds
 and three verifiers walk the non-isolated nodes to check every link of
 that chain numerically on small models.  The exact payoff, the wager
 cap's deviation, nu and MI of a probe set all read one marginal of the
-joint over (u, I...), taken once in ``_probes``; the conditioned floor's
-probe-averaged nu is one ``exact_nu_sweep``.
+joint over (u, I...), taken once in ``_probes``; probe-averaged nu is one
+``_probe_means``, a single nu reduction over all of a node's
+conditioning sets in the conditioned floor.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import (
-    JointTable, _mi_of_table, _nu_of_tables, exact_joint, exact_nu_sweep, marginal,
+    JointTable, _mi_of_table, _nu_of_tables, _uis_table, exact_joint, marginal,
     exact_conditional_mi, exact_nu,  # unused here; perfbench/run.py --trace 1 patches them
 )
 from .model import (
@@ -178,7 +179,7 @@ def _probes(model: MarkovRandomField, u: int, joint: JointTable | None):
         p_u = p_ui.sum(axis=tuple(range(1, p_ui.ndim)), keepdims=True)
         cov = p_ui - p_u * p_ui.sum(axis=0, keepdims=True)
         payoff += float((cov * wagers).sum())
-        probes.append((revealed, float(np.abs(cov).sum()), np.ascontiguousarray(p_ui[..., None])))
+        probes.append((revealed, float(np.abs(cov).sum()), p_ui[..., None]))
     scale = model.arities[u] * len(tables)
     return payoff / scale, sum(dev for _, dev, _ in probes) / scale, probes
 
@@ -218,10 +219,7 @@ def _rounds(
 
 
 def play_round(
-    model: MarkovRandomField,
-    u: int,
-    rng: np.random.Generator,
-    joint: JointTable | None = None,
+    model: MarkovRandomField, u: int, rng: np.random.Generator, joint: JointTable | None = None
 ) -> GameRound:
     """Simulate one round; rejects isolated targets (no subset to reveal)."""
     revealed, states, challenge, wager, payoff = (
@@ -250,11 +248,7 @@ def expected_payoff_exact(
 
 
 def expected_payoff_mc(
-    model: MarkovRandomField,
-    u: int,
-    rounds: int,
-    seed: int,
-    joint: JointTable | None = None,
+    model: MarkovRandomField, u: int, rounds: int, seed: int, joint: JointTable | None = None
 ) -> tuple[float, float]:
     """Monte-Carlo mean payoff and its standard error over independent rounds."""
     if rounds < 1:
@@ -318,13 +312,22 @@ def payoff_upper_bound_check(
             "ok": exact <= upper + SLACK}
 
 
+def _probe_means(joint: JointTable, u: int, conds: list[tuple[int, ...]]) -> list[float]:
+    """``mean_nu_over_probe_sets`` of u under each conditioning set, every
+    set's (u, I..., S) tables reduced in one ``_nu_of_tables`` call (a value
+    does not depend on the tables stacked beside it)."""
+    probes = [_probe_sets(joint.model, u, excluded=frozenset(cond)) for cond in conds]
+    nus = iter(_nu_of_tables([_uis_table(joint, u, group, cond)
+                              for cond, groups in zip(conds, probes) for group in groups]))
+    return [float(np.mean([next(nus)[0] for _ in groups])) for groups in probes]
+
+
 def mean_nu_over_probe_sets(joint: JointTable, u: int, cond: tuple[int, ...] = ()) -> float:
     """Average exact nu over the uniform probe draw: I ranges over the
     size-s subsets of u's neighbors outside the conditioning set."""
-    subsets = _probe_sets(joint.model, u, excluded=frozenset(cond))
-    if not subsets:
+    if _neighbors(joint.model, u) <= set(cond):
         raise ValueError(f"conditioning set covers the whole neighborhood of {u}")
-    return float(np.mean(exact_nu_sweep(joint, u, subsets, tuple(cond))))
+    return _probe_means(joint, u, [cond])[0]
 
 
 def _qualifying_nodes(model: MarkovRandomField, alpha: float):
@@ -394,15 +397,13 @@ def verify_mi_chain(
 
 
 def verify_conditioned_floor(
-    model: MarkovRandomField,
-    alpha: float,
-    max_cond_size: int,
-    joint: JointTable | None = None,
+    model: MarkovRandomField, alpha: float, max_cond_size: int, joint: JointTable | None = None
 ) -> list[dict]:
     """Exhaustively check the conditioned detection floor: for every node
     whose maximal hyperedges are all alpha-nonvanishing and every
     conditioning set (up to the size cap) that misses a neighbor, the
-    probe-averaged exact nu clears the conditioned floor."""
+    probe-averaged exact nu clears the conditioned floor; one
+    ``_probe_means`` per node."""
     if max_cond_size < 0:
         raise ValueError(f"max_cond_size={max_cond_size} must be non-negative")
     joint = joint or exact_joint(model)
@@ -413,12 +414,11 @@ def verify_conditioned_floor(
         if not all_strong:
             continue
         others = [v for v in range(model.n) if v != u]
-        for size in range(0, max_cond_size + 1):
-            for cond in itertools.combinations(others, size):
-                if neighbors[u] <= set(cond):
-                    continue
-                mean_nu = mean_nu_over_probe_sets(joint, u, cond)
-                records.append({"node": u, "cond": cond, "mean_nu": mean_nu,
-                                "floor": floors.conditioned,
-                                "ok": mean_nu >= floors.conditioned - SLACK})
+        conds = [cond for size in range(max_cond_size + 1)
+                 for cond in itertools.combinations(others, size)
+                 if not neighbors[u] <= set(cond)]
+        for cond, mean_nu in zip(conds, _probe_means(joint, u, conds)):
+            records.append({"node": u, "cond": cond, "mean_nu": mean_nu,
+                            "floor": floors.conditioned,
+                            "ok": mean_nu >= floors.conditioned - SLACK})
     return records

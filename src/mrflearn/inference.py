@@ -4,13 +4,14 @@ Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
 learner estimates from samples.  The joint's log-density is one
-``model._tensor_sum``.  ``_uis_table`` makes every exact (u, I..., S)
-table, S flattened, in C order.  One reducer, ``_nu_of_tables``, turns
-a sweep's tables into nu and weight, one stack per table shape: of
-marginal probabilities here (``exact_nu_sweep``; ``exact_nu`` is its
-sweep of one probe set), of counts in ``estimation``.  Its margins step,
-``_margins``, also gives ``_mi_of_table``, the table form of conditional
-MI, its sums.
+``model._tensor_sum``.  A ``marginal`` is one C-ordered copy of the joint
+with the requested axes leading, the rest summed as one trailing axis;
+``_uis_table`` makes every exact (u, I..., S) table from one, S
+flattened.  One reducer, ``_nu_of_tables``, turns a sweep's tables into
+nu and weight, one stack per table shape: of marginal probabilities here
+(``exact_nu_sweep``; ``exact_nu`` is its sweep of one probe set), of
+counts in ``estimation``.  Its margins step, ``_margins``, also gives
+``_mi_of_table``, the table form of conditional MI, its sums.
 """
 
 from __future__ import annotations
@@ -66,13 +67,12 @@ def exact_joint(model: MarkovRandomField) -> JointTable:
 
 
 def marginal(joint: JointTable, nodes: tuple[int, ...]) -> np.ndarray:
-    """Marginal table over the given nodes, axes in the order requested."""
+    """Marginal table over the given nodes, axes in the order requested:
+    the joint copied with those axes leading, the rest summed as one."""
     _check_nodes(nodes, joint.model.n, "the marginal")
-    others = tuple(v for v in range(joint.model.n) if v not in nodes)
-    summed = joint.probs.sum(axis=others) if others else joint.probs
-    order = sorted(nodes)
-    perm = tuple(order.index(v) for v in nodes)
-    return summed.transpose(perm)
+    others = [v for v in range(joint.model.n) if v not in nodes]
+    moved = np.ascontiguousarray(joint.probs.transpose([*nodes, *others]))
+    return moved.reshape(moved.shape[: len(nodes)] + (-1,)).sum(axis=-1)
 
 
 def _check_nodes(nodes: tuple[int, ...], n: int, role: str) -> None:
@@ -102,11 +102,11 @@ def _uis_table(
     joint: JointTable, u: int, group: tuple[int, ...], cond: tuple[int, ...]
 ) -> np.ndarray:
     """The (u, I..., S) marginal of a validated triple, S flattened to one
-    axis, in C order, so that its sums run in one order wherever it is
-    reduced."""
+    axis, in C order as ``marginal`` returns it, so that its sums run in
+    one order wherever it is reduced."""
     group, cond = _check_disjoint(u, group, cond, joint.model.n)
     table = marginal(joint, (u,) + group + cond)
-    return np.ascontiguousarray(table.reshape(table.shape[: 1 + len(group)] + (-1,)))
+    return table.reshape(table.shape[: 1 + len(group)] + (-1,))
 
 
 def _margins(stack: np.ndarray):

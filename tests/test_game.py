@@ -392,6 +392,105 @@ def test_mi_chain_and_conditioned_floor_agree_at_the_empty_set():
     assert checked >= 20
 
 
+def _multi_axis_marginal(joint, nodes):
+    # the marginal as summed before the transposed copy: every other axis
+    # at once, the kept axes then permuted into the requested order
+    others = tuple(v for v in range(joint.model.n) if v not in nodes)
+    order = sorted(nodes)
+    return joint.probs.sum(axis=others).transpose(tuple(order.index(v) for v in nodes))
+
+
+def test_verifiers_match_the_multi_axis_marginal(monkeypatch):
+    # n = 12 models of the benchmark family and an r = 3 family: payoff,
+    # chain and floor records within 1e-12 of the multi-axis marginal's,
+    # every other field (ok flags included) identical
+    import mrflearn.game as game
+    import mrflearn.inference as inference
+
+    family = [(generate_model(GeneratorSpec(n=12, max_degree=3, alpha=0.4, seed=seed)), 0.4)
+              for seed in range(3)]
+    family += [(model, 0.3) for model in small_models(3, n=7, r=3, seed0=40, max_arity=3)]
+    worst, checked = 0.0, 0
+    for model, alpha in family:
+        joint = exact_joint(model)
+
+        def records():
+            return (verify_payoff_bounds(model, alpha, joint) + verify_mi_chain(model, alpha, joint)
+                    + verify_conditioned_floor(model, alpha, 2, joint))
+
+        new = records()
+        with monkeypatch.context() as patch:
+            patch.setattr(game, "marginal", _multi_axis_marginal)
+            patch.setattr(inference, "marginal", _multi_axis_marginal)
+            old = records()
+        assert len(new) == len(old)
+        for rec, ref in zip(new, old):
+            assert rec.keys() == ref.keys()
+            for key, value in rec.items():
+                if isinstance(value, float):
+                    worst = max(worst, abs(value - ref[key]))
+                else:
+                    assert value == ref[key], (key, rec, ref)
+            checked += 1
+    print(f"worst |difference| over {checked} records: {worst:.2g}")
+    assert worst <= 1e-12
+    assert checked >= 1000
+
+
+def test_conditioned_floor_reduces_one_stack_per_node(monkeypatch):
+    # one _nu_of_tables call per all-strong node, over all of its
+    # conditioning sets, and one marginal per (u, I, S) table
+    import mrflearn.game as game
+    import mrflearn.inference as inference
+
+    reduce, stacks, marginals = game._nu_of_tables, [], []
+
+    def counted_reduce(tables):
+        stacks.append(len(tables))
+        return reduce(tables)
+
+    def counted_marginal(joint, nodes):
+        marginals.append(tuple(nodes))
+        return marginal(joint, nodes)
+
+    monkeypatch.setattr(game, "_nu_of_tables", counted_reduce)
+    monkeypatch.setattr(inference, "marginal", counted_marginal)
+    strong = weak = 0
+    for model in small_models(5, n=6, r=2, seed0=11) + small_models(
+        5, n=6, r=3, seed0=40, max_arity=3
+    ):
+        joint = exact_joint(model)
+        neighbors = clique_graph(model).neighbors
+        stacks.clear()
+        marginals.clear()
+        tables, expected = {}, []
+        for rec in verify_conditioned_floor(model, 0.4, 2, joint):
+            u, cond = rec["node"], rec["cond"]
+            pool = sorted(neighbors[u] - set(cond))
+            groups = list(itertools.combinations(pool, min(model.r - 1, len(pool))))
+            tables[u] = tables.get(u, 0) + len(groups)
+            expected += [(u, *group, *cond) for group in groups]
+        assert stacks == list(tables.values())
+        assert marginals == expected
+        strong += len(tables)
+        weak += sum(1 for u in range(model.n) if neighbors[u] and u not in tables)
+    assert strong >= 20 and weak >= 20  # alpha = 0.4 lets some nodes qualify, not all
+
+
+@pytest.mark.parametrize("r, max_arity, seed0", [(2, 2, 11), (3, 3, 40)])
+def test_conditioned_floor_means_are_mean_nu_over_probe_sets(r, max_arity, seed0):
+    # a node's tables are reduced in one stack, and each nu is independent
+    # of the tables beside it, so every record's mean is exactly the
+    # probe-averaged nu of its conditioning set alone
+    checked = 0
+    for model in small_models(6, n=6, r=r, seed0=seed0, max_arity=max_arity):
+        joint = exact_joint(model)
+        for rec in verify_conditioned_floor(model, 0.3, 2, joint):
+            assert rec["mean_nu"] == mean_nu_over_probe_sets(joint, rec["node"], rec["cond"])
+            checked += 1
+    assert checked >= 200
+
+
 # ---------------------------------------------------------------- variance structure
 
 

@@ -29,7 +29,7 @@ from mrflearn import (
     sample_exact,
 )
 from mrflearn.generate import random_raw_model
-from mrflearn.inference import _nu_of_table, exact_nu_sweep
+from mrflearn.inference import _nu_of_table, _uis_table, exact_nu_sweep
 
 from conftest import ising_tensor
 
@@ -236,6 +236,46 @@ def test_marginal_names_a_bad_node():
         with pytest.raises(ValueError, match=message):
             marginal(joint, nodes)
     assert marginal(joint, (3, 1)).shape == (joint.model.arities[3], joint.model.arities[1])
+
+
+def _multi_axis_marginal(joint, nodes):
+    # the marginal summed over every other axis at once, its kept axes
+    # then permuted into the requested order
+    others = tuple(v for v in range(joint.model.n) if v not in nodes)
+    order = sorted(nodes)
+    return joint.probs.sum(axis=others).transpose(tuple(order.index(v) for v in nodes))
+
+
+def test_marginal_is_the_multi_axis_sum_in_the_requested_order():
+    # shuffled orders, all n nodes (nothing summed), a list and NumPy ints:
+    # the axes come back in the order asked for, C-ordered, within 1e-15
+    # of the multi-axis sum
+    model = generate_model(GeneratorSpec(n=6, max_arity=4, seed=1))
+    joint = exact_joint(model)
+    assert len(set(model.arities)) == 3
+    rng = np.random.default_rng(0)
+    orders = [tuple(int(v) for v in rng.permutation(6)[:k]) for k in (1, 2, 3, 4, 5, 6, 6)]
+    cases = orders + [list(orders[3]), tuple(np.int64(v) for v in orders[4]),
+                      list(np.array(orders[2], dtype=np.intp))]
+    for nodes in cases:
+        table = marginal(joint, nodes)
+        assert table.shape == tuple(model.arities[v] for v in nodes)
+        assert table.flags.c_contiguous
+        want = _multi_axis_marginal(joint, tuple(int(v) for v in nodes))
+        assert np.abs(table - want).max() <= 1e-15
+    for everything in orders[-2:]:
+        assert np.array_equal(marginal(joint, everything), joint.probs.transpose(everything))
+
+
+def test_uis_tables_are_c_contiguous():
+    # every exact (u, I..., S) table, S flattened, is C-ordered, up to one
+    # over all n nodes
+    joint = exact_joint(generate_model(GeneratorSpec(n=6, max_arity=4, seed=1)))
+    k = joint.model.arities
+    for u, group, cond in [(0, (1,), ()), (2, (5, 0), (3,)), (5, (4, 1), (3, 0, 2))]:
+        table = _uis_table(joint, u, group, cond)
+        assert table.flags.c_contiguous
+        assert table.shape == (k[u], *(k[v] for v in group), math.prod(k[v] for v in cond))
 
 
 def brute_nu(joint, u, group, cond):
