@@ -17,10 +17,10 @@ detection-floor formulas live here.  One simulator plays the rounds
 (``play_round`` is its first, ``expected_payoff_mc`` averages many),
 and three verifiers walk the non-isolated nodes to check every link of
 that chain numerically on small models.  The exact payoff, the wager
-cap's deviation, nu and MI of a probe set all read one marginal of the
-joint over (u, I...), taken once in ``_probes``; probe-averaged nu is one
-``_probe_means``, a single nu reduction over all of a node's
-conditioning sets in the conditioned floor.
+cap's deviation, nu and MI of every probe set at u are summed from one
+marginal over (u, N(u)...) in ``_probes``; probe-averaged nu is one
+``_probe_means``, a prefix tree over one copy of the joint per node whose
+K = () leaf is that marginal, so chain and floor agree bit for bit at S = ().
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import (
-    JointTable, _mi_of_table, _nu_of_tables, _uis_table, exact_joint, marginal,
+    JointTable, _check_nodes, _mi_of_table, _nu_of_tables, _sum_tail, exact_joint, marginal,
+    RUN_CELLS,
     exact_conditional_mi, exact_nu,  # unused here; perfbench/run.py --trace 1 patches them
 )
 from .model import (
@@ -46,6 +47,8 @@ from .sampling import inverse_cdf_sampler, spawn_rng
 
 #: the verifiers' one float slack: how far a checked inequality may miss
 SLACK = 1e-12
+#: pending leaves, in joints' worth of cells, that ``_probe_means`` holds at most
+PENDING_JOINTS = 8
 
 
 @dataclass(frozen=True)
@@ -168,18 +171,21 @@ def _probes(model: MarkovRandomField, u: int, joint: JointTable | None):
     """Bob's exact payoff at u, the mean |P(X_u, X_I) - P(X_u) P(X_I)|
     (both 0.0 at an isolated node, whose joint is never built) and per
     probe set I: (I, its summed |covariance|, the C-ordered (u, I..., S=())
-    table nu and MI reduce), all from one marginal over (u, I...) per I."""
+    table nu and MI reduce), all from the floor's K = () leaf, (u, N(u)...)."""
     tables = _wager_tables(model, u)
     if not tables:
         return 0.0, 0.0, []
     joint = joint or exact_joint(model)
+    near = sorted(_neighbors(model, u))
+    leaf = marginal(joint, (u, *near))[None]
     payoff, probes = 0.0, []
     for revealed, wagers in tables:
-        p_ui = marginal(joint, (u,) + revealed)
+        table = _probe_stack(leaf, [2 + near.index(v) for v in revealed], ())[0]
+        p_ui = table[..., 0]
         p_u = p_ui.sum(axis=tuple(range(1, p_ui.ndim)), keepdims=True)
         cov = p_ui - p_u * p_ui.sum(axis=0, keepdims=True)
         payoff += float((cov * wagers).sum())
-        probes.append((revealed, float(np.abs(cov).sum()), p_ui[..., None]))
+        probes.append((revealed, float(np.abs(cov).sum()), table))
     scale = model.arities[u] * len(tables)
     return payoff / scale, sum(dev for _, dev, _ in probes) / scale, probes
 
@@ -312,14 +318,67 @@ def payoff_upper_bound_check(
             "ok": exact <= upper + SLACK}
 
 
+def _probe_stack(leaves: np.ndarray, group, cond) -> np.ndarray:
+    """The (L, u, I..., S) tables, S flattened, of L stacked (u, N(u)..., K...)
+    leaves; `group` and `cond` name axes of the stack, u's being 1."""
+    keep = [0, 1, *group, *cond]
+    kept = sorted(keep)
+    summed = np.add.reduce(leaves, axis=tuple([a for a in range(2, leaves.ndim) if a not in keep]))
+    table = np.ascontiguousarray(summed.transpose([kept.index(a) for a in keep]))
+    return table.reshape(table.shape[: 2 + len(group)] + (-1,))
+
+
 def _probe_means(joint: JointTable, u: int, conds: list[tuple[int, ...]]) -> list[float]:
-    """``mean_nu_over_probe_sets`` of u under each conditioning set, every
-    set's (u, I..., S) tables reduced in one ``_nu_of_tables`` call (a value
-    does not depend on the tables stacked beside it)."""
-    probes = [_probe_sets(joint.model, u, excluded=frozenset(cond)) for cond in conds]
-    nus = iter(_nu_of_tables([_uis_table(joint, u, group, cond)
-                              for cond, groups in zip(conds, probes) for group in groups]))
-    return [float(np.mean([next(nus)[0] for _ in groups])) for groups in probes]
+    """``mean_nu_over_probe_sets`` of u under each conditioning set S.
+
+    A copy of the joint in (u, N(u)..., far...) order roots a prefix tree of
+    single-axis sums; the leaf of K = S - N(u), the state after K's last kept
+    axis with its tail summed as ``marginal`` sums it, depends on K alone.
+    Leaves of one S layout and shape are stacked, their tables reduced once
+    past PENDING_JOINTS joints' worth of cells."""
+    model = joint.model
+    near = sorted(_neighbors(model, u))
+    nodes = [u, *near] + [v for v in range(model.n) if v != u and v not in near]
+    lead, place, waiting = 1 + len(near), dict(zip(nodes, range(model.n))), {}
+    for i, cond in enumerate(conds):  # K and S as axes of the root, then of a leaf stack
+        _check_nodes((u, *cond), model.n, "u and S")
+        axes = [place[v] for v in cond]
+        k = tuple(sorted([a for a in axes if a >= lead]))
+        waiting.setdefault(k, []).append((i, tuple([1 + (a if a < lead else lead + k.index(a))
+                                                    for a in axes])))
+
+    def flush(pending):  # every probe table of the pending leaves, reduced at once
+        rows, owners = [], []
+        for (axes, _), items in pending.items():
+            leaves = np.stack([leaf for _, leaf in items]) if items[1:] else items[0][1][None]
+            for group in _probe_sets(model, u, frozenset(nodes[a - 1] for a in axes if a <= lead)):
+                rows += list(_probe_stack(leaves, [1 + place[v] for v in group], axes))
+                owners += [i for i, _ in items]
+        for i, (nu, _) in zip(owners, _nu_of_tables(rows)):  # in order, as the chain sums
+            sums[i], counts[i] = sums[i] + nu, counts[i] + 1
+
+    root = np.ascontiguousarray(joint.probs.transpose(nodes))
+    path, pending, held = [((), root, lead)], {}, 0
+    sums, counts = [0.0] * len(conds), [0] * len(conds)
+    for k in sorted(waiting):  # depth first: a prefix before its extensions
+        while path[-1][0] != k[: len(path[-1][0])]:
+            path.pop()
+        while len(path[-1][0]) < len(k):
+            kept, state, start = path.pop()
+            for _ in range(start, k[len(kept)]):
+                state = np.add.reduce(state, axis=lead + len(kept))
+            path += [(kept, state, k[len(kept)]), (k[: len(kept) + 1], state, k[len(kept)] + 1)]
+        state, start = path[-1][1:]
+        run = min(model.n - start, model.n - 1 - max(nodes[:lead]))  # marginal's trailing run
+        leaf = _sum_tail(_sum_tail(state, state.ndim - run, RUN_CELLS), lead + len(k), 2)
+        for i, axes in waiting[k]:
+            pending.setdefault((axes, leaf.shape), []).append((i, leaf))
+            held += leaf.size
+            if held > PENDING_JOINTS * root.size:
+                flush(pending)
+                pending, held = {}, 0
+    flush(pending)
+    return [total / count for total, count in zip(sums, counts)]
 
 
 def mean_nu_over_probe_sets(joint: JointTable, u: int, cond: tuple[int, ...] = ()) -> float:
@@ -389,7 +448,7 @@ def verify_mi_chain(
             # for S empty, dev / k_u is exactly nu summed over I's configurations
             k_revealed = math.prod(model.arities[v] for v in revealed)
             links_ok &= abs(nu * k_revealed - dev / model.arities[u]) <= SLACK
-        mean_nu = float(np.mean(nus))
+        mean_nu = float(np.cumsum(nus)[-1] / len(nus))  # in order, as the floor sums
         floor = floors.unconditional if qual else 0.0
         records.append({"node": u, "mean_nu": mean_nu, "floor": floor, "qualifies": qual,
                         "links_ok": links_ok, "ok": links_ok and mean_nu >= floor - SLACK})

@@ -4,8 +4,8 @@ Everything here enumerates the full configuration space, so it is only
 meant for desk-scale verification: joint tables, exact conditional
 mutual information, and the exact coupling statistic nu that the
 learner estimates from samples.  The joint's log-density is one
-``model._tensor_sum``.  A ``marginal`` is one C-ordered copy of the joint
-with the requested axes leading, the rest summed as one trailing axis;
+``model._tensor_sum``.  A ``marginal`` sums the joint's trailing run of
+unrequested axes, then the rest in one C-ordered copy, requested axes first;
 ``_uis_table`` makes every exact (u, I..., S) table from one, S
 flattened.  One reducer, ``_nu_of_tables``, turns a sweep's tables into
 nu and weight, one stack per table shape: of marginal probabilities here
@@ -26,6 +26,9 @@ from .model import MarkovRandomField, _tensor_sum
 
 #: refuse to enumerate joint tables beyond this many configurations
 MAX_CONFIGURATIONS = 1 << 24
+#: fewest cells of a trailing run a marginal sums before its copy (NumPy sums
+#: a shorter one row by row at more cost than the copy saves)
+RUN_CELLS = 64
 
 
 class CapacityError(RuntimeError):
@@ -67,12 +70,20 @@ def exact_joint(model: MarkovRandomField) -> JointTable:
 
 
 def marginal(joint: JointTable, nodes: tuple[int, ...]) -> np.ndarray:
-    """Marginal table over the given nodes, axes in the order requested:
-    the joint copied with those axes leading, the rest summed as one."""
+    """Marginal table over the given nodes, axes in the order requested: the
+    joint's trailing run of other nodes summed, then the rest as one."""
     _check_nodes(nodes, joint.model.n, "the marginal")
-    others = [v for v in range(joint.model.n) if v not in nodes]
-    moved = np.ascontiguousarray(joint.probs.transpose([*nodes, *others]))
-    return moved.reshape(moved.shape[: len(nodes)] + (-1,)).sum(axis=-1)
+    head = _sum_tail(joint.probs, 1 + max(nodes, default=-1), RUN_CELLS)
+    others = [v for v in range(head.ndim) if v not in nodes]
+    return _sum_tail(np.ascontiguousarray(head.transpose([*nodes, *others])), len(nodes))
+
+
+def _sum_tail(table: np.ndarray, lead: int, least: int = 1) -> np.ndarray:
+    """A C-ordered `table` summed over its axes after the first `lead` as one
+    block, or `table` itself where those hold fewer than `least` cells."""
+    if math.prod(table.shape[lead:]) < least:
+        return table
+    return np.add.reduce(table.reshape(table.shape[:lead] + (-1,)), axis=-1)
 
 
 def _check_nodes(nodes: tuple[int, ...], n: int, role: str) -> None:
@@ -112,9 +123,9 @@ def _uis_table(
 def _margins(stack: np.ndarray):
     """The (u, S), (I..., S) and S sums of a stack of (u, I..., S) tables,
     S flattened (axis 0 indexes the tables), every axis kept."""
-    p_us = stack.sum(axis=tuple(range(2, stack.ndim - 1)), keepdims=True)
-    p_is = stack.sum(axis=1, keepdims=True)
-    return p_us, p_is, p_us.sum(axis=1, keepdims=True)
+    p_us = np.add.reduce(stack, axis=tuple(range(2, stack.ndim - 1)), keepdims=True)
+    p_is = np.add.reduce(stack, axis=1, keepdims=True)
+    return p_us, p_is, np.add.reduce(p_us, axis=1, keepdims=True)
 
 
 def exact_conditional_mi(
@@ -166,13 +177,13 @@ def _nu_of_tables(tables: Sequence[np.ndarray]) -> list[tuple[float, int | float
         by_shape.setdefault(table.shape, []).append(i)
     out: list = [None] * len(tables)
     for index in by_shape.values():
-        stack = np.stack([tables[i] for i in index])
+        stack = np.concatenate([tables[i][None] for i in index])  # np.stack, less its checks
         p_us, p_is, p_s = _margins(stack)
         dev = _deviation(stack.astype(float, copy=False), p_us, p_is, p_s)
         n_outer = math.prod(stack.shape[1:-1])
-        for g, i in enumerate(index):
-            total = p_s[g].sum().item()
-            out[i] = (float(dev[g].sum()) / n_outer / total if total else 0.0, total)
+        devs, totals = (np.add.reduce(a, axis=tuple(range(1, a.ndim))).tolist() for a in (dev, p_s))
+        for i, d, total in zip(index, devs, totals):
+            out[i] = (d / n_outer / total if total else 0.0, total)
     return out
 
 

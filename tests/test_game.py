@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from mrflearn import (
     verify_payoff_bounds,
     wager_cap,
 )
-from mrflearn.game import _wager_tables
+from mrflearn.game import _probe_sets, _wager_tables
+from mrflearn.inference import _nu_of_tables, _uis_table
 
 ISING_PAYOFF = 0.2310585786300048
 
@@ -346,15 +348,16 @@ def test_mi_chain_link_check_catches_a_zero_wager_cap(monkeypatch):
     assert not any(record["links_ok"] for record in records)
 
 
-def test_payoff_and_chain_sum_the_joint_once_per_probe_set(monkeypatch):
-    # payoff, cap deviation, nu and MI of a probe set all read one marginal
+def test_payoff_and_chain_sum_the_joint_once_per_node(monkeypatch):
+    # payoff, cap deviation, nu and MI of every probe set at u are summed
+    # from one marginal over (u, N(u)...), the conditioned floor's K = () leaf
     import mrflearn.game as game
     import mrflearn.inference as inference
 
     calls = []
 
     def counted(joint, nodes):
-        calls.append(nodes)
+        calls.append(tuple(nodes))
         return marginal(joint, nodes)
 
     monkeypatch.setattr(game, "marginal", counted)
@@ -363,15 +366,12 @@ def test_payoff_and_chain_sum_the_joint_once_per_probe_set(monkeypatch):
     for model in models:
         joint = exact_joint(model)
         graph = clique_graph(model)
-        probes = sum(
-            len(list(itertools.combinations(graph.neighbors[u], min(model.r - 1, d))))
-            for u, d in enumerate(graph.degrees) if d
-        )
-        assert probes
+        expected = [(u, *sorted(graph.neighbors[u])) for u in range(model.n) if graph.degrees[u]]
+        assert expected
         for verify in (verify_payoff_bounds, verify_mi_chain):
             calls.clear()
             verify(model, 0.3, joint)
-            assert len(calls) == probes, verify.__name__
+            assert calls == expected, verify.__name__
 
 
 def test_mi_chain_and_conditioned_floor_agree_at_the_empty_set():
@@ -437,44 +437,208 @@ def test_verifiers_match_the_multi_axis_marginal(monkeypatch):
     assert checked >= 1000
 
 
-def test_conditioned_floor_reduces_one_stack_per_node(monkeypatch):
-    # one _nu_of_tables call per all-strong node, over all of its
-    # conditioning sets, and one marginal per (u, I, S) table
+class _CountedNumpy:
+    """NumPy as the game module sees it, counting the transposed copies of
+    one joint and, per copy, the single-axis sums (the prefix tree's)."""
+
+    def __init__(self, joint):
+        self.joint, self.sums = joint, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def ascontiguousarray(self, a):
+        if a.base is self.joint.probs:
+            self.sums.append(0)
+        return np.ascontiguousarray(a)
+
+    @property
+    def add(self):
+        return types.SimpleNamespace(reduce=self._reduce)
+
+    def _reduce(self, a, axis):
+        self.sums[-1] += isinstance(axis, int)  # a probe table's sum names a tuple of axes
+        return np.add.reduce(a, axis=axis)
+
+
+def test_conditioned_floor_copies_the_joint_once_per_node(monkeypatch):
+    # no marginal in the floor: one transposed copy of the joint per
+    # all-strong node, and then the prefix tree's single-axis sums.  With
+    # c = max_cond_size and m = n - 1 - |N(u)| non-neighbours, every K of
+    # at most c of them is a leaf, so a prefix p shorter than c has every
+    # later axis as a child, and it drops each axis j after p but before
+    # the last one once.  Pairing that sum with the set p + (j,) counts the
+    # sets of 1..c non-neighbours that miss the last one: sum_{j=1..c}
+    # C(m - 1, j) sums
     import mrflearn.game as game
     import mrflearn.inference as inference
 
-    reduce, stacks, marginals = game._nu_of_tables, [], []
-
-    def counted_reduce(tables):
-        stacks.append(len(tables))
-        return reduce(tables)
+    marginals = []
 
     def counted_marginal(joint, nodes):
         marginals.append(tuple(nodes))
         return marginal(joint, nodes)
 
-    monkeypatch.setattr(game, "_nu_of_tables", counted_reduce)
+    monkeypatch.setattr(game, "marginal", counted_marginal)
     monkeypatch.setattr(inference, "marginal", counted_marginal)
+    size = 2
     strong = weak = 0
     for model in small_models(5, n=6, r=2, seed0=11) + small_models(
         5, n=6, r=3, seed0=40, max_arity=3
     ):
         joint = exact_joint(model)
         neighbors = clique_graph(model).neighbors
-        stacks.clear()
-        marginals.clear()
-        tables, expected = {}, []
-        for rec in verify_conditioned_floor(model, 0.4, 2, joint):
-            u, cond = rec["node"], rec["cond"]
-            pool = sorted(neighbors[u] - set(cond))
-            groups = list(itertools.combinations(pool, min(model.r - 1, len(pool))))
-            tables[u] = tables.get(u, 0) + len(groups)
-            expected += [(u, *group, *cond) for group in groups]
-        assert stacks == list(tables.values())
-        assert marginals == expected
-        strong += len(tables)
-        weak += sum(1 for u in range(model.n) if neighbors[u] and u not in tables)
+        counted = _CountedNumpy(joint)
+        monkeypatch.setattr(game, "np", counted)
+        nodes = sorted({rec["node"] for rec in verify_conditioned_floor(model, 0.4, size, joint)})
+        monkeypatch.setattr(game, "np", np)
+        far = [model.n - 1 - len(neighbors[u]) for u in nodes]
+        assert marginals == []
+        assert counted.sums == [sum(math.comb(max(m - 1, 0), j) for j in range(1, size + 1))
+                                for m in far]
+        strong += len(nodes)
+        weak += sum(1 for u in range(model.n) if neighbors[u] and u not in nodes)
     assert strong >= 20 and weak >= 20  # alpha = 0.4 lets some nodes qualify, not all
+
+
+def _per_table_probes(model, u, joint):
+    # payoff, deviation and probe tables before the (u, N(u)) leaf: one
+    # marginal over (u, I...) per probe set
+    tables = _wager_tables(model, u)
+    if not tables:
+        return 0.0, 0.0, []
+    payoff, probes = 0.0, []
+    for revealed, wagers in tables:
+        p_ui = marginal(joint, (u,) + revealed)
+        p_u = p_ui.sum(axis=tuple(range(1, p_ui.ndim)), keepdims=True)
+        cov = p_ui - p_u * p_ui.sum(axis=0, keepdims=True)
+        payoff += float((cov * wagers).sum())
+        probes.append((revealed, float(np.abs(cov).sum()), p_ui[..., None]))
+    scale = model.arities[u] * len(tables)
+    return payoff / scale, sum(dev for _, dev, _ in probes) / scale, probes
+
+
+def _per_table_means(joint, u, conds):
+    # the floor before the prefix tree: one marginal per (u, I, S) table,
+    # each conditioning set's tables reduced on their own
+    means = []
+    for cond in conds:
+        groups = _probe_sets(joint.model, u, excluded=frozenset(cond))
+        nus = _nu_of_tables([_uis_table(joint, u, group, cond) for group in groups])
+        means.append(float(np.mean([nu for nu, _ in nus])))
+    return means
+
+
+def test_verifiers_match_one_marginal_per_table(monkeypatch):
+    # payoff, chain and floor records within 1e-12 of one marginal per
+    # table, every other field (conds and ok flags included) identical:
+    # three n = 12 models of the benchmark family, r = 3 models of mixed
+    # arity at three size caps, and an n = 8 model whose floor reaches
+    # leaves of every size
+    import mrflearn.game as game
+
+    cases = [(generate_model(GeneratorSpec(n=12, max_degree=3, alpha=0.4, seed=seed)), 0.4, 2)
+             for seed in range(3)]
+    cases += [(model, 0.3, size) for model in small_models(3, n=7, r=3, seed0=40, max_arity=3)
+              for size in (0, 2, 3)]
+    cases += [(model, 0.3, 7) for model in small_models(1, n=8, seed0=3, max_arity=3)]
+    worst, checked, sizes = 0.0, 0, set()
+    for model, alpha, size in cases:
+        joint = exact_joint(model)
+
+        def records():
+            return (verify_payoff_bounds(model, alpha, joint) + verify_mi_chain(model, alpha, joint)
+                    + verify_conditioned_floor(model, alpha, size, joint))
+
+        new = records()
+        with monkeypatch.context() as patch:
+            patch.setattr(game, "_probes", _per_table_probes)
+            patch.setattr(game, "_probe_means", _per_table_means)
+            old = records()
+        assert len(new) == len(old)
+        for rec, ref in zip(new, old):
+            assert rec.keys() == ref.keys()
+            for key, value in rec.items():
+                if isinstance(value, float):
+                    worst = max(worst, abs(value - ref[key]))
+                else:
+                    assert value == ref[key], (key, rec, ref)
+            sizes.add(len(rec.get("cond", ())))
+            checked += 1
+    print(f"worst |difference| over {checked} records: {worst:.2g}")
+    assert worst <= 1e-12
+    assert checked >= 3000 and sizes == set(range(7))  # a set of all 7 others covers N(u)
+
+
+def test_probe_means_do_not_depend_on_the_sets_beside_them(monkeypatch):
+    # a leaf's bits depend on its K alone and every table is reduced on its
+    # own, so any permutation or subset of the conditioning sets, or a flush
+    # after every set, gives every value bit for bit
+    import mrflearn.game as game
+
+    rng = np.random.default_rng(0)
+    checked = 0
+    for model in small_models(2, n=7, r=3, seed0=40, max_arity=3) + small_models(2, n=7, seed0=11):
+        joint = exact_joint(model)
+        neighbors = clique_graph(model).neighbors
+        for u in range(model.n):
+            if not neighbors[u]:
+                continue
+            others = [v for v in range(model.n) if v != u]
+            conds = [cond for size in range(model.n) for cond in itertools.combinations(others, size)
+                     if not neighbors[u] <= set(cond)]
+            want = game._probe_means(joint, u, conds)
+            order = rng.permutation(len(conds))
+            for subset in (order, order[: len(order) // 3], order[:1]):
+                assert game._probe_means(joint, u, [conds[i] for i in subset]) == [
+                    want[i] for i in subset
+                ]
+            with monkeypatch.context() as patch:
+                patch.setattr(game, "PENDING_JOINTS", 0)
+                assert game._probe_means(joint, u, conds) == want
+            checked += len(conds)
+    assert checked >= 1000
+
+
+def test_conditioned_floor_holds_a_bounded_multiple_of_the_joint():
+    # at max_cond_size n - 1, in units of the joint's cells (B =
+    # PENDING_JOINTS = 8; r = 2, so the probe tables of a leaf hold at most
+    # p / 2^(p - 1) <= 1 leaves for a pool of p neighbours):
+    #   the root copy                                           1
+    #   the tree's live states below it, each at most half its
+    #   parent, as every dropped axis has at least two states    1
+    #   pending leaves: flushed once past B, the last at most 1  B + 1
+    #   one S layout's stacked copy of its leaves                B + 1
+    #   the probe tables made from those                         B + 1
+    #   the reducer: a stack of the tables, its margins (at most
+    #   1.25 stacks) and two deviation temporaries at once       4.25 (B + 1)
+    # so 2 + 7.25 (B + 1) joints, plus at most 1 KB of Python objects per
+    # conditioning set (its key and leaf axes, row views, owners and sums).
+    # These nodes peak at about 47 joints.  Holding every set's tables at
+    # once, as the floor did before the tree, peaked at 92-180 joints,
+    # growing about 3^(n - 1) / 2^n; never flushing peaks at 117-187
+    import tracemalloc
+
+    import mrflearn.game as game
+
+    model = generate_model(GeneratorSpec(n=10, max_degree=3, alpha=0.4, seed=0))
+    joint = exact_joint(model)
+    neighbors = clique_graph(model).neighbors
+    assert game.PENDING_JOINTS == 8
+    bound_joints = 2 + 7.25 * (8 + 1)
+    nodes = [u for u in range(model.n) if neighbors[u]][:3]
+    for u in nodes:
+        others = [v for v in range(model.n) if v != u]
+        conds = [cond for size in range(model.n) for cond in itertools.combinations(others, size)
+                 if not neighbors[u] <= set(cond)]
+        tracemalloc.start()
+        try:
+            game._probe_means(joint, u, conds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_joints * joint.probs.nbytes + 1024 * len(conds), (u, peak)
+    assert len(nodes) == 3
 
 
 @pytest.mark.parametrize("r, max_arity, seed0", [(2, 2, 11), (3, 3, 40)])

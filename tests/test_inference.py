@@ -29,7 +29,9 @@ from mrflearn import (
     sample_exact,
 )
 from mrflearn.generate import random_raw_model
-from mrflearn.inference import _nu_of_table, _uis_table, exact_nu_sweep
+from mrflearn.inference import (
+    _deviation, _margins, _nu_of_table, _nu_of_tables, _uis_table, exact_nu_sweep,
+)
 
 from conftest import ising_tensor
 
@@ -267,6 +269,32 @@ def test_marginal_is_the_multi_axis_sum_in_the_requested_order():
         assert np.array_equal(marginal(joint, everything), joint.probs.transpose(everything))
 
 
+def test_a_marginal_copies_what_its_trailing_sum_leaves(monkeypatch):
+    # the other nodes after the last requested one are summed as one block
+    # before the transposed copy when they hold RUN_CELLS = 64 cells or
+    # more, so a leading set copies a small remainder, not the joint; a
+    # shorter run is left to the copy's one trailing sum
+    import mrflearn.inference as inference
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ascontiguousarray(self, a):
+            copied.append(a.size)
+            return np.ascontiguousarray(a)
+
+    joint = exact_joint(generate_model(GeneratorSpec(n=10, seed=3)))
+    assert joint.probs.size == 1024 and inference.RUN_CELLS == 64
+    cases = [((2, 0, 1), 8), ((1, 3), 16), ((0, 4), 1024), ((9, 0), 1024), ((), 1)]
+    monkeypatch.setattr(inference, "np", CountedNumpy())
+    for nodes, cells in cases:
+        copied = []
+        table = marginal(joint, nodes)
+        assert copied == [cells], nodes
+        assert np.abs(table - _multi_axis_marginal(joint, nodes)).max() <= 1e-15
+
+
 def test_uis_tables_are_c_contiguous():
     # every exact (u, I..., S) table, S flattened, is C-ordered, up to one
     # over all n nodes
@@ -320,6 +348,49 @@ def test_the_nu_reduction_weighs_a_table_by_its_total(chain3):
     _, count_weight = _nu_of_table(counts)
     assert count_weight == 12 and isinstance(count_weight, int)
     assert _nu_of_table(np.zeros((2, 2, 3), dtype=np.int64)) == (0.0, 0)
+
+
+def _looped_nu_of_tables(tables):
+    # the reducer before its row sums: every table's total and summed
+    # deviation taken from its own slice of the stack
+    by_shape = {}
+    for i, table in enumerate(tables):
+        by_shape.setdefault(table.shape, []).append(i)
+    out = [None] * len(tables)
+    for index in by_shape.values():
+        stack = np.stack([tables[i] for i in index])
+        p_us, p_is, p_s = _margins(stack)
+        dev = _deviation(stack.astype(float, copy=False), p_us, p_is, p_s)
+        n_outer = math.prod(stack.shape[1:-1])
+        for g, i in enumerate(index):
+            total = p_s[g].sum().item()
+            out[i] = (float(dev[g].sum()) / n_outer / total if total else 0.0, total)
+    return out
+
+
+def test_nu_row_sums_equal_the_per_table_loop():
+    # mixed shapes (S up to 300 configurations, so rows past NumPy's
+    # 128-element pairwise blocks), empty S columns and all-zero tables,
+    # laid out in C order, in Fortran order (as queried mode's swapped
+    # axes are) or mixed, reduced together and one at a time: the same
+    # values and weights, of the same types, bit for bit
+    rng = np.random.default_rng(0)
+    shapes = [(2, 2, 1), (3, 2, 6), (2, 3, 2, 12), (3, 3, 3, 27), (2, 2, 300)]
+    for kind, layout in itertools.product(("counts", "probabilities"), ("C", "F", "mixed")):
+        tables = []
+        for _ in range(200):
+            shape = shapes[rng.integers(len(shapes))]
+            table = rng.integers(0, 40, size=shape) * (rng.random(shape[-1]) < 0.8)
+            if rng.random() < 0.05:
+                table = np.zeros(shape, dtype=np.int64)
+            if layout == "F" or (layout == "mixed" and rng.random() < 0.3):
+                table = np.asfortranarray(table)
+            tables.append(table if kind == "counts" else table / max(table.sum(), 1) / 3)
+        for batch in [tables] + [[table] for table in tables[:40]]:
+            got, want = _nu_of_tables(batch), _looped_nu_of_tables(batch)
+            assert got == want
+            assert [type(w) for _, w in got] == [type(w) for _, w in want]
+        assert {type(w) for _, w in got} == ({int} if kind == "counts" else {float})
 
 
 def test_nu_matches_brute_force_oracle():
